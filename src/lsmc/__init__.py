@@ -29,7 +29,7 @@ from .engine import (
     ExercisePolicy,
     PricingResult,
     apply_control_variate,
-    decide_continue,
+    continue_mask,
     european_mc_price,
     lookahead_bias,
     price_backward,

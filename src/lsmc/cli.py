@@ -96,7 +96,8 @@ def _cmd_price(args: argparse.Namespace) -> int:
         )
         result = price_two_pass(policy_paths, paths, payoff, basis)
     else:
-        result, _ = price_backward(paths, payoff, basis, args.mode)
+        lsm, loo, _ = price_backward(paths, payoff, basis)
+        result = lsm if args.mode == MODE_LSM else loo
 
     print(f"case        {config.case} (key {key:g})")
     print(f"mode        {result.mode}")

@@ -20,7 +20,7 @@ BESTOF_CALL = "bestof_call"
 BASKET_CALL = "basket_call"
 PAYOFF_KINDS = (PUT_SINGLE, BESTOF_CALL, BASKET_CALL)
 
-_N_ASSETS = {PUT_SINGLE: 1, BESTOF_CALL: 2, BASKET_CALL: 4}
+N_ASSETS = {PUT_SINGLE: 1, BESTOF_CALL: 2, BASKET_CALL: 4}
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +54,7 @@ class PayoffSpec:
     def n_assets(self) -> int:
         if self.kind == BASKET_CALL:
             return len(self.weights)
-        return _N_ASSETS[self.kind]
+        return N_ASSETS[self.kind]
 
 
 def discounted_payout(

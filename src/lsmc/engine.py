@@ -5,20 +5,21 @@ path value vector V needs no re-discounting between dates.  Every regression
 uses all simulation paths with the payoff among the regressors; exercise at
 maturity is forced and exercise at time 0 is forbidden.  The leave-one-out
 estimator differs from the classical one only in which prediction enters the
-exercise decision.
+exercise decision, so one backward pass carries both: each date's design
+matrix is factorized once and both value vectors are projected through it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .contracts import BasisSpec, PayoffSpec, design_matrix, discounted_payout
 from .errors import NumericalError
 from .market import PathSet
-from .regression import fit_least_squares, loo_fallback_mask
+from .regression import fit_least_squares, loo_fallback_mask, loo_predictions
 
 MODE_LSM = "LSM"
 MODE_LOOLSM = "LOOLSM"
@@ -33,9 +34,9 @@ class PricingResult:
     price is always the mean of per_path_value.  ranks and flip_counts have
     one entry per regression date (t_1 .. t_{I-1}, chronological); maturity
     carries no regression.  flip_counts counts paths whose exercise decision
-    differs between the full-fit and leave-one-out predictions at that date,
-    whichever of the two drove this run.  fallback_count totals leverage-one
-    fallbacks across dates.
+    differs between the full-fit and leave-one-out predictions of this
+    estimator's own value vector at that date.  fallback_count totals
+    leverage-one fallbacks across dates.
     """
 
     price: float
@@ -59,7 +60,8 @@ class ExercisePolicy:
 
 @dataclass(frozen=True, eq=False)
 class DateTrace:
-    """Per-date regression internals, recorded when a trace list is supplied."""
+    """Per-date regression internals of the leave-one-out value vector,
+    recorded when a trace list is supplied."""
 
     date_index: int
     payout: np.ndarray
@@ -79,21 +81,15 @@ class BiasStats:
     std_error: float
 
 
-def decide_continue(z: float, c: float, nonnegative: bool) -> bool:
-    """True when the option is held past the date.
+def continue_mask(z, c, nonnegative: bool):
+    """True where the option is held past the date (elementwise on arrays).
 
     Continuation wins ties (c == z), and a zero payout on a non-negative
     claim always continues: a negative fitted continuation value there is a
     regression artifact, never a reason to exercise worthless paths.
     """
-    return bool(c >= z or (nonnegative and z == 0.0))
-
-
-def _continue_mask(z: np.ndarray, c: np.ndarray, nonnegative: bool) -> np.ndarray:
     mask = c >= z
-    if nonnegative:
-        mask |= z == 0.0
-    return mask
+    return mask | (z == 0.0) if nonnegative else mask
 
 
 def _payout_matrix(paths: PathSet, payoff: PayoffSpec) -> np.ndarray:
@@ -118,23 +114,38 @@ def _std_error(per_path: np.ndarray, antithetic: bool) -> float:
     return float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
 
 
+def _result(
+    per_path: np.ndarray, mode: str, paths: PathSet, ranks=(), fallbacks=0, flips=()
+) -> PricingResult:
+    return PricingResult(
+        price=float(per_path.mean()),
+        per_path_value=per_path,
+        std_error=_std_error(per_path, paths.antithetic),
+        mode=mode,
+        ranks=tuple(int(r) for r in ranks),
+        fallback_count=int(fallbacks),
+        flip_counts=tuple(int(f) for f in flips),
+        provenance=paths.provenance,
+        antithetic=paths.antithetic,
+    )
+
+
 def price_backward(
     paths: PathSet,
     payoff: PayoffSpec,
     basis: BasisSpec,
-    mode: str,
     trace: list[DateTrace] | None = None,
-) -> tuple[PricingResult, ExercisePolicy]:
-    """Backward-induction price under the classical or leave-one-out estimator.
+) -> tuple[PricingResult, PricingResult, ExercisePolicy]:
+    """Backward-induction prices under the classical and leave-one-out estimators.
 
     Starting from the maturity payout, each earlier exercise date regresses
-    the path value vector on the basis over all paths and replaces the value
-    with the payout wherever the decision prediction (the fitted value for
-    MODE_LSM, its leave-one-out correction for MODE_LOOLSM) falls below it.
-    Returns the price result and the fitted exercise policy.
+    both path value vectors on the basis over all paths, with one
+    factorization of the design matrix, and replaces each value with the
+    payout wherever its decision prediction falls below it: the fitted value
+    for MODE_LSM, its leave-one-out correction for MODE_LOOLSM.  Returns the
+    classical result, the leave-one-out result and the classical exercise
+    policy.
     """
-    if mode not in (MODE_LSM, MODE_LOOLSM):
-        raise ValueError(f"mode must be {MODE_LSM} or {MODE_LOOLSM}, got {mode!r}")
     if basis.case != payoff.kind:
         raise ValueError(f"basis built for {basis.case!r}, payoff is {payoff.kind!r}")
     if paths.n_paths <= basis.m:
@@ -146,10 +157,11 @@ def price_backward(
 
     z = _payout_matrix(paths, payoff)
     n_dates = paths.n_dates
-    value = z[:, -1].copy()
+    # column 0 follows the classical decisions, column 1 the leave-one-out ones
+    value = np.repeat(z[:, -1:], 2, axis=1)
     betas: list[np.ndarray] = [None] * (n_dates - 1)  # type: ignore[list-item]
     ranks = np.zeros(n_dates - 1, dtype=int)
-    flips = np.zeros(n_dates - 1, dtype=int)
+    flips = np.zeros((2, n_dates - 1), dtype=int)
     fallbacks = 0
 
     for i in range(n_dates - 2, -1, -1):
@@ -158,45 +170,35 @@ def price_backward(
         fit = fit_least_squares(x, value)
         if fit.rank == 0:
             raise NumericalError(f"rank-zero regression at exercise date index {i}")
-        fallback = loo_fallback_mask(fit)
-        denom = np.where(fallback, 1.0, 1.0 - fit.leverage)
-        c_loo = np.where(
-            fallback, fit.fitted, fit.fitted - fit.leverage * fit.residuals / denom
-        )
-        fallbacks += int(fallback.sum())
+        c_loo = loo_predictions(fit)
+        fallbacks += int(loo_fallback_mask(fit).sum())
 
-        keep_full = _continue_mask(zi, fit.fitted, payoff.nonnegative)
-        keep_loo = _continue_mask(zi, c_loo, payoff.nonnegative)
-        flips[i] = int(np.count_nonzero(keep_full != keep_loo))
-        keep = keep_loo if mode == MODE_LOOLSM else keep_full
+        keep_full = continue_mask(zi[:, None], fit.fitted, payoff.nonnegative)
+        keep_loo = continue_mask(zi[:, None], c_loo, payoff.nonnegative)
+        flips[:, i] = np.count_nonzero(keep_full != keep_loo, axis=0)
         if trace is not None:
             trace.append(
                 DateTrace(
                     date_index=i,
                     payout=zi.copy(),
-                    response=value.copy(),
-                    fitted=fit.fitted,
-                    loo_fitted=c_loo,
+                    response=value[:, 1].copy(),
+                    fitted=fit.fitted[:, 1].copy(),
+                    loo_fitted=c_loo[:, 1].copy(),
                     leverage=fit.leverage,
                     rank=fit.rank,
                 )
             )
-        value = np.where(keep, value, zi)
-        betas[i] = fit.beta
+        keep = np.column_stack([keep_full[:, 0], keep_loo[:, 1]])
+        value = np.where(keep, value, zi[:, None])
+        betas[i] = fit.beta[:, 0].copy()  # contiguous, as price_two_pass multiplies by it
         ranks[i] = fit.rank
 
-    result = PricingResult(
-        price=float(value.mean()),
-        per_path_value=value,
-        std_error=_std_error(value, paths.antithetic),
-        mode=mode,
-        ranks=tuple(int(r) for r in ranks),
-        fallback_count=fallbacks,
-        flip_counts=tuple(int(f) for f in flips),
-        provenance=paths.provenance,
-        antithetic=paths.antithetic,
+    lsm_value, loo_value = value.T.copy()
+    return (
+        _result(lsm_value, MODE_LSM, paths, ranks, fallbacks, flips[0]),
+        _result(loo_value, MODE_LOOLSM, paths, ranks, fallbacks, flips[1]),
+        ExercisePolicy(coefficients=tuple(betas), basis=basis),
     )
-    return result, ExercisePolicy(coefficients=tuple(betas), basis=basis)
 
 
 def price_two_pass(
@@ -207,11 +209,11 @@ def price_two_pass(
 ) -> PricingResult:
     """Two-pass estimate: fit the policy on one path set, value it on another.
 
-    The exercise policy comes from a classical backward pass on policy_paths;
-    its per-date coefficients are then applied to valuation_paths, so the
-    decision is independent of the valued payoffs whenever the two sets are
-    disjoint.  Sharing one set is tolerated (it degenerates to the classical
-    estimator) but defeats the purpose.
+    The exercise policy comes from the classical estimator of a backward pass
+    on policy_paths; its per-date coefficients are then applied to
+    valuation_paths, so the decision is independent of the valued payoffs
+    whenever the two sets are disjoint.  Sharing one set is tolerated (it
+    degenerates to the classical estimator) but defeats the purpose.
     """
     if policy_paths.n_dates != valuation_paths.n_dates or not np.array_equal(
         policy_paths.times, valuation_paths.times
@@ -220,27 +222,18 @@ def price_two_pass(
     if policy_paths.rate != valuation_paths.rate:
         raise ValueError("policy and valuation path sets must share the discount rate")
 
-    policy_result, policy = price_backward(policy_paths, payoff, basis, MODE_LSM)
+    policy_result, _, policy = price_backward(policy_paths, payoff, basis)
     z = _payout_matrix(valuation_paths, payoff)
     value = z[:, -1].copy()
     for i in range(valuation_paths.n_dates - 2, -1, -1):
         zi = z[:, i]
         x = design_matrix(basis, valuation_paths.values[:, i, :], zi)
         c = x @ policy.coefficients[i]
-        keep = _continue_mask(zi, c, payoff.nonnegative)
+        keep = continue_mask(zi, c, payoff.nonnegative)
         value = np.where(keep, value, zi)
 
-    return PricingResult(
-        price=float(value.mean()),
-        per_path_value=value,
-        std_error=_std_error(value, valuation_paths.antithetic),
-        mode=MODE_LSM2,
-        ranks=policy_result.ranks,
-        fallback_count=0,
-        flip_counts=tuple(0 for _ in policy_result.flip_counts),
-        provenance=valuation_paths.provenance,
-        antithetic=valuation_paths.antithetic,
-    )
+    ranks = policy_result.ranks
+    return _result(value, MODE_LSM2, valuation_paths, ranks, flips=[0] * len(ranks))
 
 
 def european_mc_price(paths: PathSet, payoff: PayoffSpec) -> PricingResult:
@@ -248,18 +241,7 @@ def european_mc_price(paths: PathSet, payoff: PayoffSpec) -> PricingResult:
     zt = discounted_payout(
         payoff, paths.values[:, -1, :], float(paths.times[-1]), paths.rate
     )
-    zt = np.asarray(zt)
-    return PricingResult(
-        price=float(zt.mean()),
-        per_path_value=zt,
-        std_error=_std_error(zt, paths.antithetic),
-        mode=MODE_EUROPEAN,
-        ranks=(),
-        fallback_count=0,
-        flip_counts=(),
-        provenance=paths.provenance,
-        antithetic=paths.antithetic,
-    )
+    return _result(np.asarray(zt), MODE_EUROPEAN, paths)
 
 
 def apply_control_variate(
@@ -275,16 +257,11 @@ def apply_control_variate(
     if result.provenance != mc_euro.provenance:
         raise ValueError("control variate must be priced on the same path set as the result")
     per_path = result.per_path_value + (exact_euro - mc_euro.per_path_value)
-    return PricingResult(
+    return replace(
+        result,
         price=float(per_path.mean()),
         per_path_value=per_path,
         std_error=_std_error(per_path, result.antithetic),
-        mode=result.mode,
-        ranks=result.ranks,
-        fallback_count=result.fallback_count,
-        flip_counts=result.flip_counts,
-        provenance=result.provenance,
-        antithetic=result.antithetic,
     )
 
 

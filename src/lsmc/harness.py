@@ -25,6 +25,7 @@ import numpy as np
 from .contracts import (
     BASKET_CALL,
     BESTOF_CALL,
+    N_ASSETS,
     PAYOFF_KINDS,
     PUT_SINGLE,
     PayoffSpec,
@@ -35,13 +36,14 @@ from .engine import (
     MODE_LOOLSM,
     MODE_LSM,
     MODE_LSM2,
+    PricingResult,
     apply_control_variate,
     european_mc_price,
     price_backward,
     price_two_pass,
 )
 from .errors import ConfigError
-from .market import GbmModel, generate_paths, split_pool, uniform_schedule
+from .market import GbmModel, correlation_factor, generate_paths, split_pool, uniform_schedule
 from .oracles import bestof2_european_call, bs_european_put, reference_price
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -99,8 +101,6 @@ _SCALE_EXP2 = {
     "paper": dict(pool_size=1_440_000, n_mc_list=(10, 20, 30, 40, 60, 120, 240, 720)),
 }
 
-_N_ASSETS = {PUT_SINGLE: 1, BESTOF_CALL: 2, BASKET_CALL: 4}
-
 
 def derive_seed(base_seed: int, *parts) -> int:
     """Deterministic 64-bit stream seed for one run coordinate.
@@ -155,15 +155,36 @@ class ExperimentConfig:
             raise ConfigError(f"estimators must be a non-empty subset of LSM/LSM2/LOOLSM, got {bad}")
         if self.antithetic and self.n_paths % 2 != 0:
             raise ConfigError("n_paths must be even under antithetic sampling")
+        if self.n_dates < 2:
+            raise ConfigError(f"n_dates must be at least 2, got {self.n_dates}")
+        if self.n_paths <= self.basis_m:
+            raise ConfigError(f"n_paths {self.n_paths} must exceed basis_m {self.basis_m}")
+        if self.n_mc < 1 or not self.n_mc_list or min(self.n_mc_list) < 1 or not self.m_list:
+            raise ConfigError("n_mc, n_mc_list and m_list must be non-empty and positive")
         for n_mc in self.n_mc_list:
             if self.pool_size % n_mc != 0:
                 raise ConfigError(f"pool_size {self.pool_size} is not divisible by n_mc {n_mc}")
+        smallest_set = self.pool_size // max(self.n_mc_list)
+        if smallest_set <= max(self.m_list):
+            raise ConfigError(
+                f"pool_size {self.pool_size} split {max(self.n_mc_list)} ways leaves"
+                f" {smallest_set} paths per set, not more than m {max(self.m_list)}"
+            )
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
+        try:
+            self.schedule()
+            for key in self.keys:
+                correlation_factor(self.model_for_key(key).correlation)
+                self.payoff_for_key(key)
+            for m in {self.basis_m, *self.m_list}:
+                basis_family(self.case, m)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def n_assets(self) -> int:
-        return _N_ASSETS[self.case]
+        return N_ASSETS[self.case]
 
     def schedule(self):
         return uniform_schedule(self.n_dates, self.maturity)
@@ -391,14 +412,55 @@ def _map_sets(worker, n_sets: int, threads: int) -> list:
     return [worker(k) for k in range(n_sets)]
 
 
-def _exact_european(config: ExperimentConfig, key: float) -> float:
+def _references(config: ExperimentConfig, key: float):
+    """Reference prices of a grid key and its exact European price (the control variate)."""
+    try:
+        ref = reference_price(config.case, key)
+    except KeyError as exc:
+        raise ConfigError(str(exc)) from None
     if config.case == PUT_SINGLE:
-        return bs_european_put(
+        exact = bs_european_put(
             config.spot, config.vol, config.rate, config.dividend, key, config.maturity
         )
-    if config.case == BESTOF_CALL:
-        return bestof2_european_call(config.model_for_key(key), config.strike, config.maturity)
-    return reference_price(config.case, key).european
+    elif config.case == BESTOF_CALL:
+        exact = bestof2_european_call(config.model_for_key(key), config.strike, config.maturity)
+    else:
+        exact = ref.european
+    return ref, exact
+
+
+def _cell(result: PricingResult, wall_ms: float) -> tuple:
+    """What a report row needs of one set's result: price, flips, min rank, wall time."""
+    return (result.price, sum(result.flip_counts), min(result.ranks, default=0), wall_ms)
+
+
+def _report_row(
+    config, key, estimator, m, n_paths, cells, reference, bias=(math.nan, math.nan)
+) -> ReportRow:
+    """One report row from the per-set cells of an estimator.
+
+    Offsets are the set prices minus the reference price; bias is the row's
+    (mean_bias, bias_se) pair, NaN where undefined.
+    """
+    offsets = np.array([c[estimator][0] for c in cells]) - reference
+    std, se = _spread(offsets)
+    mean_bias, bias_se = bias
+    return ReportRow(
+        case=config.case,
+        key=key,
+        estimator=estimator,
+        m=m,
+        n_paths=n_paths,
+        n_mc=len(cells),
+        mean_offset=float(offsets.mean()),
+        std=std,
+        se_mean=se,
+        mean_bias=mean_bias,
+        bias_se=bias_se,
+        flips_total=int(sum(c[estimator][1] for c in cells)),
+        min_rank=int(min(c[estimator][2] for c in cells)),
+        wall_ms=float(sum(c[estimator][3] for c in cells)),
+    )
 
 
 def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
@@ -406,12 +468,15 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
 
     All requested estimators value the same paths within a set (the two-pass
     estimator fits its policy on an extra, disjoint set), so per-set price
-    differences isolate the exercise decision.  The optional control variate
-    shifts every Bermudan estimate by the European pricing error of the set;
-    it changes no expectation and cancels exactly in the difference columns.
+    differences isolate the exercise decision.  LSM and LOOLSM come from one
+    backward pass, and each reports an equal share of its wall time.  The
+    optional control variate shifts every Bermudan estimate by the European
+    pricing error of the set; it changes no expectation and cancels exactly
+    in the difference columns.
     """
     schedule = config.schedule()
     basis = basis_family(config.case, config.basis_m)
+    backward = [e for e in config.estimators if e in (MODE_LSM, MODE_LOOLSM)]
     report = ExperimentReport(
         meta={
             "experiment": "1",
@@ -425,11 +490,7 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
     for key in config.keys:
         model = config.model_for_key(key)
         payoff = config.payoff_for_key(key)
-        try:
-            ref = reference_price(config.case, key)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from None
-        exact_euro = _exact_european(config, key)
+        ref, exact_euro = _references(config, key)
 
         def run_set(k: int, _model=model, _payoff=payoff, _exact=exact_euro):
             paths = generate_paths(
@@ -438,30 +499,27 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
             )
             t0 = time.perf_counter()
             euro = european_mc_price(paths, _payoff)
-            euro_ms = (time.perf_counter() - t0) * 1e3
-            cell: dict = {"EUROPEAN": (euro.price, 0, 0, euro_ms)}
-            for estimator in config.estimators:
-                t0 = time.perf_counter()
-                if estimator == MODE_LSM2:
-                    policy_paths = generate_paths(
-                        _model,
-                        schedule,
-                        config.n_paths,
-                        derive_seed(config.base_seed, config.case, k, "policy"),
-                        config.antithetic,
-                    )
-                    result = price_two_pass(policy_paths, paths, _payoff, basis)
-                else:
-                    result, _ = price_backward(paths, _payoff, basis, estimator)
+            cell = {MODE_EUROPEAN: _cell(euro, (time.perf_counter() - t0) * 1e3)}
+
+            def adjusted(result: PricingResult) -> PricingResult:
                 if config.control_variate:
-                    result = apply_control_variate(result, _exact, euro)
-                wall = (time.perf_counter() - t0) * 1e3
-                cell[estimator] = (
-                    result.price,
-                    sum(result.flip_counts),
-                    min(result.ranks),
-                    wall,
+                    return apply_control_variate(result, _exact, euro)
+                return result
+
+            if backward:
+                t0 = time.perf_counter()
+                lsm, loo, _ = price_backward(paths, _payoff, basis)
+                results = {MODE_LSM: adjusted(lsm), MODE_LOOLSM: adjusted(loo)}
+                share = (time.perf_counter() - t0) * 1e3 / len(backward)
+                cell.update((e, _cell(results[e], share)) for e in backward)
+            if MODE_LSM2 in config.estimators:
+                t0 = time.perf_counter()
+                policy_seed = derive_seed(config.base_seed, config.case, k, "policy")
+                policy_paths = generate_paths(
+                    _model, schedule, config.n_paths, policy_seed, config.antithetic
                 )
+                result = adjusted(price_two_pass(policy_paths, paths, _payoff, basis))
+                cell[MODE_LSM2] = _cell(result, (time.perf_counter() - t0) * 1e3)
             return cell
 
         cells = _map_sets(run_set, config.n_mc, config.threads)
@@ -469,52 +527,18 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
             np.array([c[MODE_LSM][0] for c in cells]) if MODE_LSM in config.estimators else None
         )
         for estimator in config.estimators:
-            prices = np.array([c[estimator][0] for c in cells])
-            offsets = prices - ref.bermudan
-            std, se = _spread(offsets)
+            bias = (math.nan, math.nan)
             if estimator != MODE_LSM and lsm_prices is not None:
-                diffs = prices - lsm_prices
-                bias, (_, bias_se) = float(diffs.mean()), _spread(diffs)
-            else:
-                bias, bias_se = float("nan"), float("nan")
+                diffs = np.array([c[estimator][0] for c in cells]) - lsm_prices
+                bias = (float(diffs.mean()), _spread(diffs)[1])
             report.rows.append(
-                ReportRow(
-                    case=config.case,
-                    key=key,
-                    estimator=estimator,
-                    m=config.basis_m,
-                    n_paths=config.n_paths,
-                    n_mc=config.n_mc,
-                    mean_offset=float(offsets.mean()),
-                    std=std,
-                    se_mean=se,
-                    mean_bias=bias,
-                    bias_se=bias_se,
-                    flips_total=int(sum(c[estimator][1] for c in cells)),
-                    min_rank=int(min(c[estimator][2] for c in cells)),
-                    wall_ms=float(sum(c[estimator][3] for c in cells)),
+                _report_row(
+                    config, key, estimator, config.basis_m, config.n_paths, cells,
+                    ref.bermudan, bias,
                 )
             )
-        euro_prices = np.array([c["EUROPEAN"][0] for c in cells])
-        euro_offsets = euro_prices - ref.european
-        std, se = _spread(euro_offsets)
         report.rows.append(
-            ReportRow(
-                case=config.case,
-                key=key,
-                estimator=MODE_EUROPEAN,
-                m=0,
-                n_paths=config.n_paths,
-                n_mc=config.n_mc,
-                mean_offset=float(euro_offsets.mean()),
-                std=std,
-                se_mean=se,
-                mean_bias=float("nan"),
-                bias_se=float("nan"),
-                flips_total=0,
-                min_rank=0,
-                wall_ms=float(sum(c["EUROPEAN"][3] for c in cells)),
-            )
+            _report_row(config, key, MODE_EUROPEAN, 0, config.n_paths, cells, ref.european)
         )
     return report
 
@@ -524,10 +548,11 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
 
     One pool is generated once and shared across every basis size, then split
     into n_mc contiguous sets for each entry of n_mc_list; this controls the
-    Monte Carlo variance across set sizes.  Per set, bias is the classical
-    price minus the leave-one-out price on identical paths; offsets use the
-    European control variate when enabled (the bias is unaffected by it).
-    The report carries a weighted straight-line fit of mean bias against M/N.
+    Monte Carlo variance across set sizes.  Per set, one backward pass prices
+    both estimators, and bias is the classical price minus the leave-one-out
+    price on identical paths; offsets use the European control variate when
+    enabled (the bias is unaffected by it).  The report carries a weighted
+    straight-line fit of mean bias against M/N.
     """
     if len(config.keys) != 1:
         raise ConfigError("experiment 2 runs one strike/spot at a time")
@@ -535,11 +560,7 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     schedule = config.schedule()
     model = config.model_for_key(key)
     payoff = config.payoff_for_key(key)
-    try:
-        ref = reference_price(config.case, key)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from None
-    exact_euro = _exact_european(config, key)
+    ref, exact_euro = _references(config, key)
     pool_seed = derive_seed(config.base_seed, config.case, "pool")
     pool = generate_paths(model, schedule, config.pool_size, pool_seed, config.antithetic)
 
@@ -567,8 +588,7 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
             def run_set(k: int, _sets=sets, _basis=basis):
                 paths = _sets[k]
                 t0 = time.perf_counter()
-                lsm, _ = price_backward(paths, payoff, _basis, MODE_LSM)
-                loo, _ = price_backward(paths, payoff, _basis, MODE_LOOLSM)
+                lsm, loo, _ = price_backward(paths, payoff, _basis)
                 wall = (time.perf_counter() - t0) * 1e3
                 bias = lsm.price - loo.price
                 if config.control_variate:
@@ -576,36 +596,17 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
                     lsm = apply_control_variate(lsm, exact_euro, euro)
                     loo = apply_control_variate(loo, exact_euro, euro)
                 return {
-                    MODE_LSM: (lsm.price, sum(lsm.flip_counts), min(lsm.ranks), wall / 2),
-                    MODE_LOOLSM: (loo.price, sum(loo.flip_counts), min(loo.ranks), wall / 2),
+                    MODE_LSM: _cell(lsm, wall / 2),
+                    MODE_LOOLSM: _cell(loo, wall / 2),
                     "bias": bias,
                 }
 
             cells = _map_sets(run_set, n_mc, config.threads)
             biases = np.array([c["bias"] for c in cells])
-            bias_mean = float(biases.mean())
-            _, bias_se = _spread(biases)
+            bias = bias_mean, bias_se = float(biases.mean()), _spread(biases)[1]
             for estimator in (MODE_LSM, MODE_LOOLSM):
-                prices = np.array([c[estimator][0] for c in cells])
-                offsets = prices - ref.bermudan
-                std, se = _spread(offsets)
                 report.rows.append(
-                    ReportRow(
-                        case=config.case,
-                        key=key,
-                        estimator=estimator,
-                        m=m,
-                        n_paths=n_per_set,
-                        n_mc=n_mc,
-                        mean_offset=float(offsets.mean()),
-                        std=std,
-                        se_mean=se,
-                        mean_bias=bias_mean,
-                        bias_se=bias_se,
-                        flips_total=int(sum(c[estimator][1] for c in cells)),
-                        min_rank=int(min(c[estimator][2] for c in cells)),
-                        wall_ms=float(sum(c[estimator][3] for c in cells)),
-                    )
+                    _report_row(config, key, estimator, m, n_per_set, cells, ref.bermudan, bias)
                 )
             if n_mc >= 2 and math.isfinite(bias_se) and bias_se > 0.0:
                 points.append((m / n_per_set, bias_mean, 1.0 / bias_se**2))

@@ -57,10 +57,11 @@ class DesignMatrix:
 class RegressionFit:
     """Result of one least-squares fit.
 
-    beta      coefficient vector (length M)
+    beta      coefficients (M, or M x k for an N x k response)
     fitted    projection of the response onto the column space (C = H y)
     residuals y - fitted
-    leverage  diagonal of the projector H, clipped to [0, 1]
+    leverage  diagonal of the projector H, clipped to [0, 1]; shared by every
+              response column
     rank      numerical rank of the design matrix
     """
 
@@ -72,7 +73,7 @@ class RegressionFit:
 
 
 def fit_least_squares(X: DesignMatrix | np.ndarray, y: np.ndarray) -> RegressionFit:
-    """Least-squares fit of y on the columns of X.
+    """Least-squares fit of y (N, or N x k) on the columns of X.
 
     Singular values of the column-equilibrated matrix below
     max(N, M) * eps * sigma_max are treated as zero; directions below the
@@ -80,6 +81,9 @@ def fit_least_squares(X: DesignMatrix | np.ndarray, y: np.ndarray) -> Regression
     that is an exact linear combination of price columns) are handled
     deterministically.  When the fit is rank deficient, beta is the residual
     minimizer with the smallest norm in the column-equilibrated basis.
+
+    An N x k response is fitted column by column through one factorization of
+    X; each column's fit is bit-identical to fitting that column alone.
 
     Raises ValueError on non-finite input, naming the offending entry.
     """
@@ -92,13 +96,13 @@ def fit_least_squares(X: DesignMatrix | np.ndarray, y: np.ndarray) -> Regression
     n, m = X.shape
     if n < 1 or m < 1:
         raise ValueError(f"design matrix must be non-empty, got shape {X.shape}")
-    if y.shape != (n,):
-        raise ValueError(f"response must have shape ({n},), got {y.shape}")
+    if y.ndim not in (1, 2) or y.shape[0] != n:
+        raise ValueError(f"response must have shape ({n},) or ({n}, k), got {y.shape}")
     if not np.isfinite(X).all():
         i, j = _first_nonfinite(X)
         raise ValueError(f"non-finite design entry at row {i}, column {j}")
     if not np.isfinite(y).all():
-        (i,) = _first_nonfinite(y)
+        i = _first_nonfinite(y)[0]
         raise ValueError(f"non-finite response at row {i}")
 
     norms = np.linalg.norm(X, axis=0)
@@ -107,10 +111,15 @@ def fit_least_squares(X: DesignMatrix | np.ndarray, y: np.ndarray) -> Regression
     tol = max(n, m) * np.finfo(float).eps * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s > tol))
 
-    uy = u[:, :rank].T @ y
-    beta = (vt[:rank].T @ (uy / s[:rank])) / norms
-    fitted = u[:, :rank] @ uy
-    leverage = np.minimum(np.einsum("ij,ij->i", u[:, :rank], u[:, :rank]), 1.0)
+    # One matrix-vector product per contiguous column: a single N x k gemm
+    # would reorder the sums and move the last bits of every fit.
+    ur = u[:, :rank]
+    uy = [ur.T @ col for col in y.reshape(n, -1).T.copy()]
+    beta = np.column_stack([(vt[:rank].T @ (v / s[:rank])) / norms for v in uy])
+    fitted = np.column_stack([ur @ v for v in uy])
+    if y.ndim == 1:
+        beta, fitted = beta[:, 0], fitted[:, 0]
+    leverage = np.minimum(np.einsum("ij,ij->i", ur, ur), 1.0)
     return RegressionFit(
         beta=beta,
         fitted=fitted,
@@ -125,17 +134,23 @@ def loo_fallback_mask(fit: RegressionFit) -> np.ndarray:
     return (1.0 - fit.leverage) < LEVERAGE_EPS
 
 
+def _by_row(fit: RegressionFit, a: np.ndarray) -> np.ndarray:
+    """Per-row array shaped to broadcast against fit.residuals."""
+    return a[:, None] if fit.residuals.ndim == 2 else a
+
+
 def loo_predictions(fit: RegressionFit) -> np.ndarray:
     """Leave-one-out predictions C' = C - h e / (1 - h), elementwise.
 
     Each entry equals the prediction at row n of the regression refit without
-    row n.  Rows with leverage numerically equal to 1 fall back to the full-fit
-    value and raise a RuntimeWarning; callers interested in the count should
-    inspect loo_fallback_mask.
+    row n; an N x k fit gives one column per response column.  Rows with
+    leverage numerically equal to 1 fall back to the full-fit value and raise
+    a RuntimeWarning; callers interested in the count should inspect
+    loo_fallback_mask.
     """
-    fallback = loo_fallback_mask(fit)
-    denom = np.where(fallback, 1.0, 1.0 - fit.leverage)
-    loo = fit.fitted - fit.leverage * fit.residuals / denom
+    fallback = _by_row(fit, loo_fallback_mask(fit))
+    h = _by_row(fit, fit.leverage)
+    loo = fit.fitted - h * fit.residuals / np.where(fallback, 1.0, 1.0 - h)
     if fallback.any():
         loo = np.where(fallback, fit.fitted, loo)
         warnings.warn(

@@ -203,7 +203,7 @@ def test_criterion_7_property_suite():
 
         # flip characterization and fitted-value decomposition, date by date
         trace = []
-        result, _ = price_backward(paths, payoff, basis, MODE_LOOLSM, trace=trace)
+        _, result, _ = price_backward(paths, payoff, basis, trace=trace)
         assert result.fallback_count == 0
         for t in trace:
             blend = (1.0 - t.leverage) * t.loo_fitted + t.leverage * t.response
@@ -222,8 +222,8 @@ def test_criterion_7_property_suite():
         p2 = generate_paths(PUT_MODEL, single, 2000, seed=12)
         b4 = basis_family(PUT_SINGLE, 4)
         euro = european_mc_price(p1, payoff).price
-        assert price_backward(p1, payoff, b4, MODE_LSM)[0].price == euro
-        assert price_backward(p1, payoff, b4, MODE_LOOLSM)[0].price == euro
+        lsm, loo, _ = price_backward(p1, payoff, b4)
+        assert lsm.price == loo.price == euro
         assert price_two_pass(p2, p1, payoff, b4).price == euro
 
         # the control variate cannot move the measured bias

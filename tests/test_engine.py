@@ -17,7 +17,7 @@ from lsmc.engine import (
     MODE_LSM,
     MODE_LSM2,
     apply_control_variate,
-    decide_continue,
+    continue_mask,
     european_mc_price,
     lookahead_bias,
     price_backward,
@@ -48,28 +48,35 @@ def desk_paths(n=4000, seed=314):
 
 class TestDecideContinue:
     def test_plain_indicator(self):
-        assert decide_continue(5.0, 7.0, nonnegative=True)
-        assert not decide_continue(5.0, 3.0, nonnegative=True)
+        assert continue_mask(5.0, 7.0, nonnegative=True)
+        assert not continue_mask(5.0, 3.0, nonnegative=True)
+        np.testing.assert_array_equal(
+            continue_mask(np.array([5.0, 5.0]), np.array([7.0, 3.0]), True), [True, False]
+        )
 
     def test_zero_payout_overrides_negative_continuation(self):
-        assert decide_continue(0.0, -1.0, nonnegative=True)
-        assert not decide_continue(0.0, -1.0, nonnegative=False)
+        assert continue_mask(0.0, -1.0, nonnegative=True)
+        assert not continue_mask(0.0, -1.0, nonnegative=False)
+        np.testing.assert_array_equal(
+            continue_mask(np.array([0.0, 1.0]), np.array([-1.0, -1.0]), True), [True, False]
+        )
 
     def test_tie_continues(self):
-        assert decide_continue(5.0, 5.0, nonnegative=True)
+        assert continue_mask(5.0, 5.0, nonnegative=True)
 
 
 @pytest.mark.filterwarnings("ignore:3 paths for 3 regressors")
 class TestToyCrossSection:
     def test_classical_keeps_the_outlier_path(self):
-        result, policy = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS, MODE_LSM)
+        result, _, policy = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
         assert result.per_path_value == pytest.approx([14.0, 14.0, 9.0], abs=1e-12)
         assert result.price == pytest.approx(37.0 / 3.0, abs=1e-12)
         assert result.ranks == (2,)
         assert len(policy.coefficients) == 1
 
     def test_leave_one_out_exercises_the_outlier_path(self):
-        result, _ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS, MODE_LOOLSM)
+        _, result, _ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
+        assert result.mode == MODE_LOOLSM
         assert result.per_path_value == pytest.approx([10.0, 10.0, 9.0], abs=1e-12)
         assert result.price == pytest.approx(29.0 / 3.0, abs=1e-12)
 
@@ -77,7 +84,7 @@ class TestToyCrossSection:
         # decision values: C = (11, 11, 11), C' = (24, 28/3, 16) against Z = (14, 10, 8);
         # path 2 flips continue->exercise, path 1 exercise->continue, path 3 is stable
         trace = []
-        result, _ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS, MODE_LOOLSM, trace=trace)
+        _, result, _ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS, trace=trace)
         assert result.flip_counts == (2,)
         (t,) = trace
         assert t.fitted == pytest.approx([11.0, 11.0, 11.0], abs=1e-12)
@@ -93,8 +100,7 @@ class TestToyCrossSection:
         np.testing.assert_array_equal(d_minus, (gap < 0.0) & (gap >= t.leverage * premium))
 
     def test_price_gap_is_the_flip_payload(self):
-        lsm, _ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS, MODE_LSM)
-        loo, _ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS, MODE_LOOLSM)
+        lsm, loo, _ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
         stats = lookahead_bias(lsm, loo)
         assert stats.per_path == pytest.approx([4.0, 4.0, 0.0], abs=1e-12)
         assert stats.mean == pytest.approx(8.0 / 3.0, abs=1e-12)
@@ -106,8 +112,7 @@ class TestEstimatorIdentities:
         paths = generate_paths(PUT_MODEL, schedule, 2000, seed=21)
         basis = basis_family(PUT_SINGLE, 4)
         euro = european_mc_price(paths, PUT_PAYOFF)
-        lsm, _ = price_backward(paths, PUT_PAYOFF, basis, MODE_LSM)
-        loo, _ = price_backward(paths, PUT_PAYOFF, basis, MODE_LOOLSM)
+        lsm, loo, _ = price_backward(paths, PUT_PAYOFF, basis)
         two = price_two_pass(generate_paths(PUT_MODEL, schedule, 2000, seed=22), paths,
                              PUT_PAYOFF, basis)
         assert lsm.price == euro.price == loo.price == two.price
@@ -115,7 +120,7 @@ class TestEstimatorIdentities:
 
     def test_two_pass_on_its_own_paths_degenerates_to_classical(self):
         paths = desk_paths()
-        lsm, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS, MODE_LSM)
+        lsm, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
         two = price_two_pass(paths, paths, PUT_PAYOFF, PUT_BASIS)
         assert two.price == pytest.approx(lsm.price, abs=1e-12)
         assert two.mode == MODE_LSM2
@@ -127,28 +132,29 @@ class TestEstimatorIdentities:
             price_two_pass(other, paths, PUT_PAYOFF, PUT_BASIS)
 
     def test_price_is_mean_of_per_path_values(self):
-        for mode in (MODE_LSM, MODE_LOOLSM):
-            result, _ = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS, mode)
+        lsm, loo, _ = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS)
+        assert (lsm.mode, loo.mode) == (MODE_LSM, MODE_LOOLSM)
+        for result in (lsm, loo):
             assert result.price == result.per_path_value.mean()
 
     def test_pricing_is_deterministic(self):
-        a, _ = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS, MODE_LOOLSM)
-        b, _ = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS, MODE_LOOLSM)
-        np.testing.assert_array_equal(a.per_path_value, b.per_path_value)
+        a = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS)
+        b = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS)
+        for x, y in zip(a[:2], b[:2]):
+            np.testing.assert_array_equal(x.per_path_value, y.per_path_value)
 
     def test_warns_when_paths_do_not_exceed_regressors(self):
         values = np.exp(np.random.default_rng(0).standard_normal((4, 2, 1))) * 100.0
         tiny = PathSet(values=values, times=np.array([0.5, 1.0]), rate=0.05, seed=0,
                        antithetic=False)
         with pytest.warns(RuntimeWarning, match="regressors"):
-            price_backward(tiny, PUT_PAYOFF, PUT_BASIS, MODE_LSM)
+            price_backward(tiny, PUT_PAYOFF, PUT_BASIS)
 
     def test_classical_exceeds_leave_one_out_on_average(self):
         diffs = []
         for k in range(50):
             paths = generate_paths(PUT_MODEL, PUT_SCHEDULE, 2000, seed=9000 + k)
-            lsm, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS, MODE_LSM)
-            loo, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS, MODE_LOOLSM)
+            lsm, loo, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
             diffs.append(lsm.price - loo.price)
         diffs = np.array(diffs)
         t_stat = diffs.mean() / (diffs.std(ddof=1) / np.sqrt(diffs.size))
@@ -158,7 +164,7 @@ class TestEstimatorIdentities:
 @pytest.fixture(scope="module")
 def traced_run():
     trace = []
-    result, _ = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS, MODE_LOOLSM, trace=trace)
+    _, result, _ = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS, trace=trace)
     return result, trace
 
 
@@ -205,15 +211,14 @@ class TestControlVariateAndBias:
     def test_exact_equals_estimate_leaves_result_unchanged(self):
         paths = desk_paths()
         euro = european_mc_price(paths, PUT_PAYOFF)
-        result, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS, MODE_LSM)
+        result, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
         adjusted = apply_control_variate(result, euro.price, euro)
         assert adjusted.price == pytest.approx(result.price, abs=1e-12)
 
     def test_shared_adjustment_cancels_in_the_difference(self):
         paths = desk_paths()
         euro = european_mc_price(paths, PUT_PAYOFF)
-        lsm, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS, MODE_LSM)
-        loo, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS, MODE_LOOLSM)
+        lsm, loo, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
         raw = lookahead_bias(lsm, loo)
         adjusted = lookahead_bias(
             apply_control_variate(lsm, 6.33, euro), apply_control_variate(loo, 6.33, euro)
@@ -224,7 +229,7 @@ class TestControlVariateAndBias:
     def test_mode_and_diagnostics_survive_adjustment(self):
         paths = desk_paths()
         euro = european_mc_price(paths, PUT_PAYOFF)
-        result, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS, MODE_LOOLSM)
+        _, result, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
         adjusted = apply_control_variate(result, 6.33, euro)
         assert adjusted.mode == MODE_LOOLSM
         assert adjusted.ranks == result.ranks
@@ -233,17 +238,17 @@ class TestControlVariateAndBias:
     def test_provenance_mismatch_rejected(self):
         paths, other = desk_paths(seed=1), desk_paths(seed=2)
         euro_other = european_mc_price(other, PUT_PAYOFF)
-        result, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS, MODE_LSM)
+        result, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
         with pytest.raises(ValueError, match="same path set"):
             apply_control_variate(result, 6.33, euro_other)
-        loo_other, _ = price_backward(other, PUT_PAYOFF, PUT_BASIS, MODE_LOOLSM)
+        _, loo_other, _ = price_backward(other, PUT_PAYOFF, PUT_BASIS)
         with pytest.raises(ValueError, match="same path set"):
             lookahead_bias(result, loo_other)
 
     def test_identical_runs_have_zero_bias(self):
         paths = desk_paths()
-        a, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS, MODE_LSM)
-        b, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS, MODE_LSM)
+        a, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
+        b, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
         stats = lookahead_bias(a, b)
         assert stats.mean == 0.0
         assert (stats.per_path == 0.0).all()
@@ -282,13 +287,13 @@ def test_rank_zero_regression_is_a_numerical_error():
     payoff = PayoffSpec(PUT_SINGLE, strike=1e-6)
     basis = BasisSpec(PUT_SINGLE, 1, (BasisTerm("payoff"),))
     with pytest.raises(NumericalError, match="rank-zero"):
-        price_backward(paths, payoff, basis, MODE_LSM)
+        price_backward(paths, payoff, basis)
 
 
 @pytest.mark.filterwarnings("ignore:3 paths for 2 regressors")
 def test_custom_basis_without_payoff_term_is_usable():
     # the engine only requires evaluable terms; a (1, S) basis prices the toy
     basis = BasisSpec(PUT_SINGLE, 2, (BasisTerm("const"), BasisTerm("mono", (1,))))
-    result, _ = price_backward(toy_paths(), TOY_PAYOFF, basis, MODE_LSM)
+    result, _, _ = price_backward(toy_paths(), TOY_PAYOFF, basis)
     assert result.price == pytest.approx(37.0 / 3.0, abs=1e-12)
     assert result.ranks == (2,)

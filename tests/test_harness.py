@@ -282,11 +282,29 @@ class TestCli:
         assert main(["experiment2", "--case", "put_single", "--config", str(cfg)]) == 0
         assert "slope=" in capsys.readouterr().out
 
-    def test_bad_config_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "case, line",
+        [
+            ("put_single", "n_paths = many"),
+            ("basket_call", "n_dates = 1"),
+            ("basket_call", "vol = -0.1"),
+            ("basket_call", "maturity = 0"),
+            ("basket_call", "correlation = -0.9"),
+            ("basket_call", "n_paths = 4"),
+            ("put_single", "pool_size = 1200"),
+            ("put_single", "n_mc_list = 0"),
+            ("put_single", "m_list = 1, 4"),
+        ],
+        ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
+             "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size"],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, case, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("n_paths = many\n")
-        assert main(["experiment1", "--case", "put_single", "--config", str(cfg)]) == 2
-        assert "error:" in capsys.readouterr().err
+        cfg.write_text(line + "\n")
+        assert main(["experiment1", "--case", case, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any row is computed
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_config_loader_reads_files(self, tmp_path):
         cfg = tmp_path / "a.cfg"

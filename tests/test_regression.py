@@ -87,6 +87,24 @@ class TestFitLeastSquares:
         assert fit.rank >= 10
         assert abs(fit.leverage.sum() - fit.rank) < 1e-8
 
+    def test_response_block_matches_per_column_fits(self):
+        # the backward pass fits both estimators' value vectors at once; each
+        # column must be bit-equal to its own fit or prices would drift
+        rng = np.random.default_rng(23)
+        s = rng.uniform(80.0, 120.0, size=300)
+        wild = np.column_stack([s**k for k in range(8)])
+        for x, y in ((wild, rng.standard_normal(300)), random_system(rng, n=150, m=5)):
+            block = np.column_stack([y, y**2])
+            fit = fit_least_squares(x, block)
+            assert fit.fitted.shape == block.shape and fit.beta.shape == (x.shape[1], 2)
+            for j in range(2):
+                alone = fit_least_squares(x, block[:, j].copy())
+                np.testing.assert_array_equal(fit.fitted[:, j], alone.fitted)
+                np.testing.assert_array_equal(fit.residuals[:, j], alone.residuals)
+                np.testing.assert_array_equal(fit.beta[:, j], alone.beta)
+                np.testing.assert_array_equal(fit.leverage, alone.leverage)
+                np.testing.assert_array_equal(loo_predictions(fit)[:, j], loo_predictions(alone))
+
     def test_rejects_nonfinite_with_location(self):
         x = THREE_POINT_X.copy()
         x[1, 1] = np.nan
