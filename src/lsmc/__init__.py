@@ -16,7 +16,6 @@ from .contracts import (
     BasisTerm,
     PayoffSpec,
     basis_family,
-    basis_row,
     design_matrix,
     discounted_payout,
 )
@@ -25,8 +24,6 @@ from .engine import (
     MODE_LOOLSM,
     MODE_LSM,
     MODE_LSM2,
-    BiasStats,
-    ExercisePolicy,
     PricingResult,
     apply_control_variate,
     continue_mask,
@@ -68,12 +65,10 @@ from .oracles import (
     reference_price,
 )
 from .regression import (
-    DesignMatrix,
     RegressionFit,
     fit_least_squares,
     loo_fallback_mask,
     loo_predictions,
-    loo_residuals,
 )
 
 __version__ = "0.1.0"

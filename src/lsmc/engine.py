@@ -18,8 +18,8 @@ import numpy as np
 
 from .contracts import BasisSpec, PayoffSpec, design_matrix, discounted_payout
 from .errors import NumericalError
-from .market import PathSet
-from .regression import fit_least_squares, loo_fallback_mask, loo_predictions
+from .market import PathSet, split_pool
+from .regression import fit_least_squares_stack, loo_fallback_mask, loo_predictions
 
 MODE_LSM = "LSM"
 MODE_LOOLSM = "LOOLSM"
@@ -144,61 +144,86 @@ def price_backward(
     payout wherever its decision prediction falls below it: the fitted value
     for MODE_LSM, its leave-one-out correction for MODE_LOOLSM.  Returns the
     classical result, the leave-one-out result and the classical exercise
-    policy.
+    policy.  This is the one-set case of price_backward_stack.
+    """
+    return price_backward_stack(paths, 1, payoff, basis, trace)[0]
+
+
+def price_backward_stack(
+    paths: PathSet,
+    n_sets: int,
+    payoff: PayoffSpec,
+    basis: BasisSpec,
+    trace: list[DateTrace] | None = None,
+) -> list[tuple[PricingResult, PricingResult, ExercisePolicy]]:
+    """price_backward for each of the n_sets sets split_pool(paths, n_sets) gives.
+
+    The sets are priced together as one (n_sets, N) stack: each date builds
+    one design matrix and makes one stacked fit for all of them, so the
+    number of numpy calls does not grow with n_sets and the heavy ones run
+    without the interpreter lock.  Each set's results are bit-identical to
+    pricing it alone.  The trace, when given, receives one entry per set and
+    date, sets in order within each date.
     """
     if basis.case != payoff.kind:
         raise ValueError(f"basis built for {basis.case!r}, payoff is {payoff.kind!r}")
-    if paths.n_paths <= basis.m:
+    sets = split_pool(paths, n_sets)
+    n = sets[0].n_paths
+    if n <= basis.m:
         warnings.warn(
-            f"{paths.n_paths} paths for {basis.m} regressors; estimates will be unstable",
+            f"{n} paths for {basis.m} regressors; estimates will be unstable",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    z = _payout_matrix(paths, payoff)
+    z = _payout_matrix(paths, payoff).reshape(n_sets, n, paths.n_dates)
     n_dates = paths.n_dates
     # column 0 follows the classical decisions, column 1 the leave-one-out ones
-    value = np.repeat(z[:, -1:], 2, axis=1)
-    betas: list[np.ndarray] = [None] * (n_dates - 1)  # type: ignore[list-item]
-    ranks = np.zeros(n_dates - 1, dtype=int)
-    flips = np.zeros((2, n_dates - 1), dtype=int)
-    fallbacks = 0
+    value = np.repeat(z[..., -1:], 2, axis=-1)
+    betas = np.empty((n_sets, n_dates - 1, basis.m))
+    ranks = np.zeros((n_sets, n_dates - 1), dtype=int)
+    flips = np.zeros((n_sets, 2, n_dates - 1), dtype=int)
+    fallbacks = np.zeros(n_sets, dtype=int)
 
     for i in range(n_dates - 2, -1, -1):
-        zi = z[:, i]
-        x = design_matrix(basis, paths.values[:, i, :], zi)
-        fit = fit_least_squares(x, value)
-        if fit.rank == 0:
+        zi = z[..., i]
+        x = design_matrix(basis, paths.values[:, i, :], zi.reshape(-1))
+        fit = fit_least_squares_stack(x.reshape(n_sets, n, basis.m), value)
+        if not fit.rank.all():
             raise NumericalError(f"rank-zero regression at exercise date index {i}")
         c_loo = loo_predictions(fit)
-        fallbacks += int(loo_fallback_mask(fit).sum())
+        fallbacks += loo_fallback_mask(fit).sum(axis=-1)
 
-        keep_full = continue_mask(zi[:, None], fit.fitted, payoff.nonnegative)
-        keep_loo = continue_mask(zi[:, None], c_loo, payoff.nonnegative)
-        flips[:, i] = np.count_nonzero(keep_full != keep_loo, axis=0)
+        keep_full = continue_mask(zi[..., None], fit.fitted, payoff.nonnegative)
+        keep_loo = continue_mask(zi[..., None], c_loo, payoff.nonnegative)
+        flips[..., i] = np.count_nonzero(keep_full != keep_loo, axis=-2)
         if trace is not None:
-            trace.append(
+            trace.extend(
                 DateTrace(
                     date_index=i,
-                    payout=zi.copy(),
-                    response=value[:, 1].copy(),
-                    fitted=fit.fitted[:, 1].copy(),
-                    loo_fitted=c_loo[:, 1].copy(),
-                    leverage=fit.leverage,
-                    rank=fit.rank,
+                    payout=zi[k].copy(),
+                    response=value[k, :, 1].copy(),
+                    fitted=fit.fitted[k, :, 1].copy(),
+                    loo_fitted=c_loo[k, :, 1].copy(),
+                    leverage=fit.leverage[k],
+                    rank=int(fit.rank[k]),
                 )
+                for k in range(n_sets)
             )
-        keep = np.column_stack([keep_full[:, 0], keep_loo[:, 1]])
-        value = np.where(keep, value, zi[:, None])
-        betas[i] = fit.beta[:, 0].copy()  # contiguous, as price_two_pass multiplies by it
-        ranks[i] = fit.rank
+        keep = np.stack([keep_full[..., 0], keep_loo[..., 1]], axis=-1)
+        value = np.where(keep, value, zi[..., None])
+        betas[:, i] = fit.beta[..., 0]
+        ranks[:, i] = fit.rank
 
-    lsm_value, loo_value = value.T.copy()
-    return (
-        _result(lsm_value, MODE_LSM, paths, ranks, fallbacks, flips[0]),
-        _result(loo_value, MODE_LOOLSM, paths, ranks, fallbacks, flips[1]),
-        ExercisePolicy(coefficients=tuple(betas), basis=basis),
-    )
+    priced = []
+    for k, paths_k in enumerate(sets):
+        lsm_value, loo_value = value[k].T.copy()
+        priced.append((
+            _result(lsm_value, MODE_LSM, paths_k, ranks[k], fallbacks[k], flips[k, 0]),
+            _result(loo_value, MODE_LOOLSM, paths_k, ranks[k], fallbacks[k], flips[k, 1]),
+            ExercisePolicy(coefficients=tuple(betas[k]), basis=basis),
+        ))
+    return priced
 
 
 def price_two_pass(

@@ -40,6 +40,7 @@ from .engine import (
     apply_control_variate,
     european_mc_price,
     price_backward,
+    price_backward_stack,
     price_two_pass,
 )
 from .errors import ConfigError
@@ -47,6 +48,13 @@ from .market import GbmModel, correlation_factor, generate_paths, split_pool, un
 from .oracles import bestof2_european_call, bs_european_put, reference_price
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# Rows per stacked backward pass in experiment 2.  On 2 cores with BLAS
+# pinned to 1 thread, 16,384-row blocks priced the basket desk config faster
+# than 4,096 or 65,536: small blocks leave the per-call overhead (and the
+# interpreter lock it holds) in place, while a 65,536-row stack outgrows the
+# 4 MiB L2 cache and slows even one thread.
+BLOCK_ROWS = 16_384
 
 CSV_COLUMNS = (
     "case,key,estimator,M,N,n_mc,mean_offset,std,se_mean,"
@@ -161,9 +169,18 @@ class ExperimentConfig:
             raise ConfigError(f"n_paths {self.n_paths} must exceed basis_m {self.basis_m}")
         if self.n_mc < 1 or not self.n_mc_list or min(self.n_mc_list) < 1 or not self.m_list:
             raise ConfigError("n_mc, n_mc_list and m_list must be non-empty and positive")
+        for name in ("n_mc_list", "m_list"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} repeats an entry: {values}")
         for n_mc in self.n_mc_list:
             if self.pool_size % n_mc != 0:
                 raise ConfigError(f"pool_size {self.pool_size} is not divisible by n_mc {n_mc}")
+            if self.antithetic and (self.pool_size // n_mc) % 2 != 0:
+                raise ConfigError(
+                    f"pool_size {self.pool_size} split {n_mc} ways leaves"
+                    f" {self.pool_size // n_mc} paths per set, which breaks antithetic pairs"
+                )
         smallest_set = self.pool_size // max(self.n_mc_list)
         if smallest_set <= max(self.m_list):
             raise ConfigError(
@@ -405,6 +422,17 @@ def _spread(values: np.ndarray) -> tuple[float, float]:
     return std, std / math.sqrt(n)
 
 
+def _set_blocks(n_sets: int, set_rows: int) -> list[tuple[int, int]]:
+    """Consecutive runs of sets, as (first, stop) set indices, that price as one stack.
+
+    Each run holds at most BLOCK_ROWS rows (one set if a set is larger), and
+    the sets are spread over as few runs as that allows, evenly.
+    """
+    n_blocks = -(-n_sets // max(1, BLOCK_ROWS // set_rows))
+    edges = [n_sets * b // n_blocks for b in range(n_blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _map_sets(worker, n_sets: int, threads: int) -> list:
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -551,7 +579,10 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     Monte Carlo variance across set sizes.  Per set, one backward pass prices
     both estimators, and bias is the classical price minus the leave-one-out
     price on identical paths; offsets use the European control variate when
-    enabled (the bias is unaffected by it).  The report carries a weighted
+    enabled (the bias is unaffected by it).  Consecutive sets are priced as
+    one stack of at most BLOCK_ROWS rows (one set, if larger), and the blocks
+    are the tasks spread over `threads`; each set reports an equal share of its block's wall time,
+    split evenly between the two estimators.  The report carries a weighted
     straight-line fit of mean bias against M/N.
     """
     if len(config.keys) != 1:
@@ -584,24 +615,30 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
         for n_mc in config.n_mc_list:
             sets = split_pool(pool, n_mc)
             n_per_set = sets[0].n_paths
+            blocks = _set_blocks(n_mc, n_per_set)
 
-            def run_set(k: int, _sets=sets, _basis=basis):
-                paths = _sets[k]
+            def run_block(b: int, _sets=sets, _blocks=blocks, _basis=basis):
+                first, stop = _blocks[b]
+                block = replace(
+                    _sets[first], values=pool.values[first * n_per_set : stop * n_per_set]
+                )
                 t0 = time.perf_counter()
-                lsm, loo, _ = price_backward(paths, payoff, _basis)
-                wall = (time.perf_counter() - t0) * 1e3
-                bias = lsm.price - loo.price
-                if config.control_variate:
-                    euro = european_mc_price(paths, payoff)
-                    lsm = apply_control_variate(lsm, exact_euro, euro)
-                    loo = apply_control_variate(loo, exact_euro, euro)
-                return {
-                    MODE_LSM: _cell(lsm, wall / 2),
-                    MODE_LOOLSM: _cell(loo, wall / 2),
-                    "bias": bias,
-                }
+                priced = price_backward_stack(block, stop - first, payoff, _basis)
+                share = (time.perf_counter() - t0) * 1e3 / (stop - first) / 2
+                cells = []
+                for paths, (lsm, loo, _) in zip(_sets[first:stop], priced):
+                    bias = lsm.price - loo.price
+                    if config.control_variate:
+                        euro = european_mc_price(paths, payoff)
+                        lsm = apply_control_variate(lsm, exact_euro, euro)
+                        loo = apply_control_variate(loo, exact_euro, euro)
+                    cells.append(
+                        {MODE_LSM: _cell(lsm, share), MODE_LOOLSM: _cell(loo, share), "bias": bias}
+                    )
+                return cells
 
-            cells = _map_sets(run_set, n_mc, config.threads)
+            per_block = _map_sets(run_block, len(blocks), config.threads)
+            cells = [cell for block_cells in per_block for cell in block_cells]
             biases = np.array([c["bias"] for c in cells])
             bias = bias_mean, bias_se = float(biases.mean()), _spread(biases)[1]
             for estimator in (MODE_LSM, MODE_LOOLSM):

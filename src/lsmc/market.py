@@ -282,6 +282,11 @@ def load_paths(filename: str, times: np.ndarray, rate: float) -> PathSet:
     """Read a PathSet written by dump_paths; times/rate must match the generating run."""
     with open(filename, "rb") as f:
         header = f.read(_DUMP_HEADER.size)
+        if len(header) < _DUMP_HEADER.size:
+            raise ValueError(
+                f"{filename!r} holds {len(header)} bytes, too few for the"
+                f" {_DUMP_HEADER.size}-byte path dump header"
+            )
         n_paths, n_dates, n_assets, seed, anti = _DUMP_HEADER.unpack(header)
         raw = np.frombuffer(f.read(), dtype="<f8")
     expected = n_paths * n_dates * n_assets

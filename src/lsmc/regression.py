@@ -55,7 +55,7 @@ class DesignMatrix:
 
 @dataclass(frozen=True, eq=False)
 class RegressionFit:
-    """Result of one least-squares fit.
+    """Result of one least-squares fit, or of a stack of independent fits.
 
     beta      coefficients (M, or M x k for an N x k response)
     fitted    projection of the response onto the column space (C = H y)
@@ -63,13 +63,16 @@ class RegressionFit:
     leverage  diagonal of the projector H, clipped to [0, 1]; shared by every
               response column
     rank      numerical rank of the design matrix
+
+    A stacked fit carries a leading set axis on every array, and rank is then
+    an int array with one entry per set.
     """
 
     beta: np.ndarray
     fitted: np.ndarray
     residuals: np.ndarray
     leverage: np.ndarray
-    rank: int
+    rank: int | np.ndarray
 
 
 def fit_least_squares(X: DesignMatrix | np.ndarray, y: np.ndarray) -> RegressionFit:
@@ -90,36 +93,69 @@ def fit_least_squares(X: DesignMatrix | np.ndarray, y: np.ndarray) -> Regression
     if isinstance(X, DesignMatrix):
         X = X.values
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"design matrix must be 2-d, got shape {X.shape}")
-    n, m = X.shape
-    if n < 1 or m < 1:
-        raise ValueError(f"design matrix must be non-empty, got shape {X.shape}")
-    if y.ndim not in (1, 2) or y.shape[0] != n:
-        raise ValueError(f"response must have shape ({n},) or ({n}, k), got {y.shape}")
+    fit = fit_least_squares_stack(X[None], np.asarray(y, dtype=float)[None])
+    return RegressionFit(
+        beta=fit.beta[0],
+        fitted=fit.fitted[0],
+        residuals=fit.residuals[0],
+        leverage=fit.leverage[0],
+        rank=int(fit.rank[0]),
+    )
+
+
+def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
+    """Independent least-squares fits of a stack of S systems, as fit_least_squares.
+
+    X is (S, N, M) and y is (S, N) or (S, N, k).  Every numpy call covers the
+    whole stack, and the stacked SVD, products and reductions repeat the
+    per-matrix arithmetic of a single fit, so each set's fit is bit-identical
+    to fitting that set alone.  Sets are projected in groups of equal rank, so
+    a rank-deficient set does not change the others.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 3:
+        raise ValueError(f"design stack must be 3-d, got shape {X.shape}")
+    n_sets, n, m = X.shape
+    if n_sets < 1 or n < 1 or m < 1:
+        raise ValueError(f"design matrix must be non-empty, got shape {X.shape[1:]}")
+    if y.ndim not in (2, 3) or y.shape[:2] != (n_sets, n):
+        raise ValueError(f"response must have shape ({n},) or ({n}, k), got {y.shape[1:]}")
+    in_set = "" if n_sets == 1 else " of set {}"
     if not np.isfinite(X).all():
-        i, j = _first_nonfinite(X)
-        raise ValueError(f"non-finite design entry at row {i}, column {j}")
+        t, i, j = _first_nonfinite(X)
+        raise ValueError(f"non-finite design entry at row {i}, column {j}" + in_set.format(t))
     if not np.isfinite(y).all():
-        i = _first_nonfinite(y)[0]
-        raise ValueError(f"non-finite response at row {i}")
+        t, i = _first_nonfinite(y)[:2]
+        raise ValueError(f"non-finite response at row {i}" + in_set.format(t))
 
-    norms = np.linalg.norm(X, axis=0)
+    norms = np.linalg.norm(X, axis=-2)
     norms = np.where(norms > 0.0, norms, 1.0)
-    u, s, vt = np.linalg.svd(X / norms, full_matrices=False)
-    tol = max(n, m) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(s > tol))
+    u, s, vt = np.linalg.svd(X / norms[:, None, :], full_matrices=False)
+    tol = max(n, m) * np.finfo(float).eps * s[:, 0]
+    rank = np.count_nonzero(s > tol[:, None], axis=-1)
 
-    # One matrix-vector product per contiguous column: a single N x k gemm
-    # would reorder the sums and move the last bits of every fit.
-    ur = u[:, :rank]
-    uy = [ur.T @ col for col in y.reshape(n, -1).T.copy()]
-    beta = np.column_stack([(vt[:rank].T @ (v / s[:rank])) / norms for v in uy])
-    fitted = np.column_stack([ur @ v for v in uy])
-    if y.ndim == 1:
-        beta, fitted = beta[:, 0], fitted[:, 0]
-    leverage = np.minimum(np.einsum("ij,ij->i", ur, ur), 1.0)
+    # One matrix-vector product per set and contiguous column: a gemm over
+    # the columns would reorder the sums and move the last bits of every fit.
+    cols = np.moveaxis(y.reshape(n_sets, n, -1), -1, 1).copy()
+    k = cols.shape[1]
+    beta = np.empty((n_sets, m, k))
+    fitted = np.empty((n_sets, n, k))
+    leverage = np.empty((n_sets, n))
+    for r in np.unique(rank):
+        # a boolean index copies the group, which keeps each matrix's strides
+        sel = slice(None) if (rank == r).all() else rank == r
+        ur = u[sel][..., :r]
+        vr = vt[sel][:, :r, :].transpose(0, 2, 1)
+        for j in range(k):
+            uy = (ur.transpose(0, 2, 1) @ cols[sel, j, :, None])[..., 0]
+            beta[sel, :, j] = (vr @ (uy / s[sel, :r])[..., None])[..., 0] / norms[sel]
+            fitted[sel, :, j] = (ur @ uy[..., None])[..., 0]
+        leverage[sel] = np.minimum(np.einsum("sij,sij->si", ur, ur), 1.0)
+    if y.ndim == 2:
+        beta, fitted = beta[..., 0], fitted[..., 0]
     return RegressionFit(
         beta=beta,
         fitted=fitted,
@@ -136,7 +172,7 @@ def loo_fallback_mask(fit: RegressionFit) -> np.ndarray:
 
 def _by_row(fit: RegressionFit, a: np.ndarray) -> np.ndarray:
     """Per-row array shaped to broadcast against fit.residuals."""
-    return a[:, None] if fit.residuals.ndim == 2 else a
+    return a[..., None] if fit.residuals.ndim > fit.leverage.ndim else a
 
 
 def loo_predictions(fit: RegressionFit) -> np.ndarray:

@@ -7,10 +7,19 @@ payouts (14, 10, 8), date-2 payouts (10, 14, 9) make the continuation premium
 is the straight line of the reference system.  Every number below is exact.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from lsmc.contracts import PUT_SINGLE, BasisSpec, BasisTerm, PayoffSpec, basis_family
+from lsmc.contracts import (
+    BASKET_CALL,
+    PUT_SINGLE,
+    BasisSpec,
+    BasisTerm,
+    PayoffSpec,
+    basis_family,
+)
 from lsmc.engine import (
     MODE_EUROPEAN,
     MODE_LOOLSM,
@@ -21,9 +30,10 @@ from lsmc.engine import (
     european_mc_price,
     lookahead_bias,
     price_backward,
+    price_backward_stack,
     price_two_pass,
 )
-from lsmc.market import GbmModel, PathSet, generate_paths, uniform_schedule
+from lsmc.market import GbmModel, PathSet, generate_paths, split_pool, uniform_schedule
 
 PUT_MODEL = GbmModel(spot=[100.0], rate=0.05, dividend=[0.02], vol=[0.20], correlation=[[1.0]])
 PUT_SCHEDULE = uniform_schedule(5, 1.0)
@@ -205,6 +215,72 @@ class TestSeededRunDiagnostics:
         premium = np.abs(t.response - t.payout)
         bound = (np.abs(t.fitted - t.payout) <= t.leverage * premium) * premium
         assert (np.abs(v_full - v_loo) <= bound + 1e-12).all()
+
+
+BASKET_MODEL = GbmModel(
+    spot=[100.0] * 4, rate=0.0, dividend=[0.0] * 4, vol=[0.40] * 4,
+    correlation=np.full((4, 4), 0.5) + 0.5 * np.eye(4),
+)
+
+
+class TestStackedPass:
+    """Pricing consecutive sets as one stack equals pricing each set alone, bit for bit."""
+
+    # six sets; each tuple of (first, stop) runs covers them once
+    COMPOSITIONS = (
+        ((0, 6),),
+        ((0, 1), (1, 4), (4, 6)),
+        ((0, 2), (2, 3), (3, 5), (5, 6)),
+    )
+
+    @staticmethod
+    def assert_stack_matches_alone(pool, n_sets, payoff, basis):
+        sets = split_pool(pool, n_sets)
+        alone = [price_backward(paths, payoff, basis) for paths in sets]
+        n = sets[0].n_paths
+        for composition in TestStackedPass.COMPOSITIONS:
+            for first, stop in composition:
+                block = dataclasses.replace(
+                    sets[first], values=pool.values[first * n : stop * n]
+                )
+                stacked = price_backward_stack(block, stop - first, payoff, basis)
+                for want, got in zip(alone[first:stop], stacked):
+                    for a, b in zip(want[:2], got[:2]):
+                        np.testing.assert_array_equal(b.per_path_value, a.per_path_value)
+                        assert (b.price, b.std_error) == (a.price, a.std_error)
+                        assert b.flip_counts == a.flip_counts
+                        assert b.ranks == a.ranks
+                        assert b.fallback_count == a.fallback_count
+                        assert b.provenance == a.provenance
+                    for a, b in zip(want[2].coefficients, got[2].coefficients):
+                        np.testing.assert_array_equal(b, a)
+        return alone
+
+    @pytest.mark.parametrize(
+        "model, n_dates, payoff, m",
+        [
+            (PUT_MODEL, 5, PUT_PAYOFF, 5),
+            (BASKET_MODEL, 10, PayoffSpec(BASKET_CALL, strike=100.0), 10),
+        ],
+        ids=["put", "basket"],
+    )
+    def test_blocks_match_each_set_alone(self, model, n_dates, payoff, m):
+        # 250-path sets: not a multiple of any SIMD width, so a block shifts
+        # each set's rows against the vector lanes of a lone pass
+        pool = generate_paths(model, uniform_schedule(n_dates, 1.0), 6 * 250, seed=808)
+        self.assert_stack_matches_alone(pool, 6, payoff, basis_family(payoff.kind, m))
+
+    def test_rank_deficient_set_leaves_its_neighbours_unchanged(self):
+        # every path of set 2 is out of the money at date 1, so its payoff
+        # column vanishes there and only that set loses a rank
+        pool = generate_paths(PUT_MODEL, PUT_SCHEDULE, 6 * 250, seed=909)
+        values = pool.values.copy()
+        values[500:750, 1, 0] += 60.0
+        assert values[500:750, 1, 0].min() > PUT_PAYOFF.strike
+        pool = dataclasses.replace(pool, values=values)
+        alone = self.assert_stack_matches_alone(pool, 6, PUT_PAYOFF, PUT_BASIS)
+        ranks = [result[0].ranks[1] for result in alone]
+        assert ranks == [5, 5, 4, 5, 5, 5]
 
 
 class TestControlVariateAndBias:

@@ -1,10 +1,17 @@
 """Experiment orchestration: seeding, statistics, CSV round trips, CLI."""
 
+import contextlib
 import dataclasses
+import io
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lsmc import harness
 from lsmc.cli import main
 from lsmc.errors import ConfigError
 from lsmc.harness import (
@@ -225,10 +232,15 @@ class TestExperiment2:
         assert report.meta["pool_shared_across_m"] == "true"
         assert report.meta["pool_size"] == "6000"
 
-    def test_reproducible_across_threads(self):
-        a = run_experiment2(tiny_exp2())
-        b = run_experiment2(tiny_exp2(threads=2))
-        assert a.fingerprint() == b.fingerprint()
+    def test_reproducible_across_threads(self, monkeypatch):
+        # smaller blocks split each cell's 2000- and 1000-path sets into
+        # different stacks, which the fingerprint must not see
+        reference = run_experiment2(tiny_exp2()).fingerprint()
+        for block_rows in (harness.BLOCK_ROWS, 2500, 1000):
+            monkeypatch.setattr(harness, "BLOCK_ROWS", block_rows)
+            for threads in (1, 2, 3):
+                report = run_experiment2(tiny_exp2(threads=threads))
+                assert report.fingerprint() == reference, (block_rows, threads)
 
     def test_scaled_down_basket_grid_bias_structure(self):
         # 14,400-path pool, 9 (M, N) cells: bias is positive everywhere and
@@ -294,9 +306,12 @@ class TestCli:
             ("put_single", "pool_size = 1200"),
             ("put_single", "n_mc_list = 0"),
             ("put_single", "m_list = 1, 4"),
+            ("put_single", "pool_size = 2400\nn_mc_list = 32\nm_list = 4"),
+            ("put_single", "n_mc_list = 4, 4, 4\nm_list = 4"),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
-             "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size"],
+             "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
+             "odd_antithetic_sets", "repeated_split"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, case, line):
         cfg = tmp_path / "bad.cfg"
@@ -310,3 +325,56 @@ class TestCli:
         cfg = tmp_path / "a.cfg"
         cfg.write_text("vol = 0.3\n")
         assert load_config_file(str(cfg)) == {"vol": 0.3}
+
+
+@st.composite
+def _entries(draw, values):
+    xs = draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        xs.append(xs[0])  # a repeated entry
+    return ", ".join(str(x) for x in xs)
+
+
+@st.composite
+def experiment2_config_files(draw):
+    """Tiny experiment-2 config files; some carry one bad field, and some split
+    the pool into sets that do not divide it or break its antithetic pairs."""
+    case = draw(st.sampled_from(["put_single", "basket_call"]))
+    sizes = [2, 4, 5] if case == "put_single" else [6, 10, 16]
+    lines = {
+        "n_dates": draw(st.integers(2, 4)),
+        "vol": draw(st.sampled_from([0.2, 0.4, 0.0])),
+        "correlation": draw(st.sampled_from([0.5, 0.0, 1.0])),
+        "pool_size": draw(st.sampled_from([240, 600, 1200])),
+        "n_mc_list": draw(_entries([2, 4, 3, 5, 1, 8, 10, 12, 32])),
+        "m_list": draw(_entries(sizes)),
+        "threads": draw(st.integers(1, 3)),
+    }
+    bad = {"n_dates": 1, "vol": -0.1, "correlation": -0.9, "n_mc_list": 0,
+           "m_list": sizes[0] - 1, "threads": 0}
+    field = draw(st.sampled_from([None, *bad]))
+    if field is not None:
+        lines[field] = bad[field]
+    return case, "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(experiment2_config_files())
+def test_config_files_run_or_exit_2(drawn):
+    # any config file either runs or is refused with one error line; a
+    # traceback would escape main() and fail the example
+    case, text = drawn
+    fd, path = tempfile.mkstemp(suffix=".cfg")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["experiment2", "--case", case, "--config", path])
+    finally:
+        os.remove(path)
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert out.getvalue().startswith(CSV_COLUMNS)

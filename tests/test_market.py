@@ -183,3 +183,11 @@ def test_dump_load_round_trip(tmp_path):
 
     with pytest.raises(ValueError, match="dates"):
         load_paths(str(target), paths.times[:-1], paths.rate)
+
+
+@pytest.mark.parametrize("size", [0, 2])
+def test_load_rejects_a_short_header(tmp_path, size):
+    target = tmp_path / "short.bin"
+    target.write_bytes(b"\x01" * size)
+    with pytest.raises(ValueError, match=rf"short\.bin' holds {size} bytes"):
+        load_paths(str(target), uniform_schedule(5, 1.0).times, 0.05)
