@@ -185,25 +185,39 @@ def basis_row(spec: BasisSpec, state: np.ndarray, z: float) -> np.ndarray:
     return design_matrix(spec, np.asarray(state, dtype=float)[None, :], np.array([z]))[0]
 
 
+def _power(s: np.ndarray, e: int, out: np.ndarray) -> np.ndarray:
+    """s ** e written into out, bit for bit: numpy squares by a product and
+    takes higher powers from pow."""
+    if e == 1:
+        out[:] = s
+        return out
+    if e == 2:
+        return np.multiply(s, s, out=out)
+    return np.power(s, e, out=out)
+
+
 def design_matrix(spec: BasisSpec, states: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(N, M) matrix of basis term values over a batch of states.
 
     Column 0 is the constant 1 and the payoff column equals z, which must hold
     the discounted payout of each row's state at the date in question.
+
+    The states are gathered once, asset-major, and each term is written as one
+    contiguous row of a term-major buffer; the result is its C-ordered
+    transpose.  Every entry is bit-identical to the per-column formula
+    ones * s_1 ** e_1 * s_2 ** e_2 ..., since the product with ones is exact.
     """
-    states = np.asarray(states, dtype=float)
-    z = np.asarray(z, dtype=float)
-    n = states.shape[0]
-    cols = np.empty((n, spec.m))
-    for k, term in enumerate(spec.terms):
-        if term.kind == "const":
-            cols[:, k] = 1.0
-        elif term.kind == "payoff":
-            cols[:, k] = z
+    assets = np.ascontiguousarray(np.asarray(states, dtype=float).T)
+    terms = np.empty((spec.m, assets.shape[1]))
+    scratch = np.empty(assets.shape[1])
+    for row, term in zip(terms, spec.terms):
+        factors = [(assets[j], e) for j, e in enumerate(term.exponents) if e]
+        if term.kind == "payoff":
+            row[:] = z
+        elif not factors:
+            row[:] = 1.0
         else:
-            col = np.ones(n)
-            for j, e in enumerate(term.exponents):
-                if e:
-                    col = col * states[:, j] ** e
-            cols[:, k] = col
-    return cols
+            _power(*factors[0], out=row)
+            for s, e in factors[1:]:
+                np.multiply(row, s if e == 1 else _power(s, e, scratch), out=row)
+    return np.ascontiguousarray(terms.T)

@@ -178,8 +178,12 @@ def price_backward_stack(
 
     z = _payout_matrix(paths, payoff).reshape(n_sets, n, paths.n_dates)
     n_dates = paths.n_dates
-    # column 0 follows the classical decisions, column 1 the leave-one-out ones
-    value = np.repeat(z[..., -1:], 2, axis=-1)
+    # column 0 follows the classical decisions, column 1 the leave-one-out
+    # ones; each column is stored contiguously, so every elementwise step
+    # runs over whole rows of N paths instead of an innermost axis of 2
+    value = np.empty((n_sets, 2, n)).transpose(0, 2, 1)
+    value[...] = z[..., -1:]
+    keep = np.empty((n_sets, 2, n), dtype=bool).transpose(0, 2, 1)
     betas = np.empty((n_sets, n_dates - 1, basis.m))
     ranks = np.zeros((n_sets, n_dates - 1), dtype=int)
     flips = np.zeros((n_sets, 2, n_dates - 1), dtype=int)
@@ -210,7 +214,8 @@ def price_backward_stack(
                 )
                 for k in range(n_sets)
             )
-        keep = np.stack([keep_full[..., 0], keep_loo[..., 1]], axis=-1)
+        keep[..., 0] = keep_full[..., 0]
+        keep[..., 1] = keep_loo[..., 1]
         value = np.where(keep, value, zi[..., None])
         betas[:, i] = fit.beta[..., 0]
         ranks[:, i] = fit.rank

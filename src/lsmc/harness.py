@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -189,6 +192,10 @@ class ExperimentConfig:
             )
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
+        if self.out is not None:
+            folder = os.path.dirname(os.path.abspath(self.out))
+            if not os.path.isdir(folder) or os.path.isdir(self.out):
+                raise ConfigError(f"out {self.out!r} is not a file in an existing directory")
         try:
             self.schedule()
             for key in self.keys:
@@ -241,18 +248,32 @@ def default_config(case: str, experiment: int = 1, scale: str = "desk") -> Exper
     return ExperimentConfig(case=case, **kwargs)
 
 
-_BOOL_KEYS = {"antithetic", "control_variate"}
-_INT_KEYS = {"n_dates", "n_paths", "n_mc", "basis_m", "pool_size", "base_seed", "threads"}
-_FLOAT_KEYS = {"spot", "strike", "rate", "dividend", "vol", "correlation", "maturity"}
-_FLOAT_LIST_KEYS = {"keys"}
-_INT_LIST_KEYS = {"m_list", "n_mc_list"}
-_STR_LIST_KEYS = {"estimators"}
-_STR_KEYS = {"case", "out"}
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return value.lower() == "true"
+
+
+def _value_parser(hint):
+    """Parser of one config value for a field annotated `hint`: bool, int,
+    float or str, an optional one, or a comma-separated tuple of them."""
+    if get_origin(hint) is tuple:
+        item = _value_parser(get_args(hint)[0])
+        return lambda value: tuple(item(v) for v in value.split(","))
+    if get_origin(hint) is UnionType:
+        (hint,) = (arg for arg in get_args(hint) if arg is not NoneType)
+    return {bool: _parse_bool, str: str.strip}.get(hint, hint)
+
+
+_VALUE_PARSERS = {
+    name: _value_parser(hint) for name, hint in get_type_hints(ExperimentConfig).items()
+}
 
 
 def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines into typed ExperimentConfig overrides.
 
+    Each key is an ExperimentConfig field and is parsed by its annotation.
     Lists are comma separated; booleans accept true/false; '#' starts a
     comment.  Unknown keys are rejected.
     """
@@ -265,32 +286,23 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            if key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError("expected true or false")
-                overrides[key] = value.lower() == "true"
-            elif key in _INT_KEYS:
-                overrides[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                overrides[key] = float(value)
-            elif key in _FLOAT_LIST_KEYS:
-                overrides[key] = tuple(float(v) for v in value.split(","))
-            elif key in _INT_LIST_KEYS:
-                overrides[key] = tuple(int(v) for v in value.split(","))
-            elif key in _STR_LIST_KEYS:
-                overrides[key] = tuple(v.strip() for v in value.split(","))
-            elif key in _STR_KEYS:
-                overrides[key] = value
-            else:
+            if key not in _VALUE_PARSERS:
                 raise ValueError("unknown key")
+            overrides[key] = _VALUE_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"config line {lineno}: {key} = {value!r}: {exc}") from None
     return overrides
 
 
 def load_config_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
-        return parse_config_text(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    return parse_config_text(text)
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,10 @@ def generate_paths(
     dt = np.diff(np.concatenate([[0.0], schedule.times]))
     drift = (model.rate - model.dividend[None, :] - 0.5 * model.vol[None, :] ** 2) * dt[:, None]
     scale = model.vol[None, :] * np.sqrt(dt)[:, None]
-    increments = drift[None, :, :] + scale[None, :, :] * (z @ chol.T)
+    # one (N * I, J) @ (J, J) product, scaled and shifted in place
+    increments = (z.reshape(-1, n_assets) @ chol.T).reshape(z.shape)
+    increments *= scale
+    increments += drift
     values = model.spot[None, None, :] * np.exp(np.cumsum(increments, axis=1))
     return PathSet(
         values=values,

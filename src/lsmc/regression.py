@@ -105,6 +105,12 @@ def fit_least_squares(X: DesignMatrix | np.ndarray, y: np.ndarray) -> Regression
     )
 
 
+def _k_major(n_sets: int, n: int, k: int) -> np.ndarray:
+    """Empty (n_sets, n, k) array stored as (n_sets, k, n): each of the k
+    columns of a matrix is contiguous."""
+    return np.empty((n_sets, k, n)).transpose(0, 2, 1)
+
+
 def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
     """Independent least-squares fits of a stack of S systems, as fit_least_squares.
 
@@ -114,7 +120,7 @@ def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
     to fitting that set alone.  Sets are projected in groups of equal rank, so
     a rank-deficient set does not change the others.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 3:
         raise ValueError(f"design stack must be 3-d, got shape {X.shape}")
@@ -131,18 +137,23 @@ def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
         t, i = _first_nonfinite(y)[:2]
         raise ValueError(f"non-finite response at row {i}" + in_set.format(t))
 
+    # The norms sum each column of the C-ordered X in row order, whatever
+    # layout X came in; only the equilibrated copy is laid out per matrix in
+    # Fortran order, the layout LAPACK reads, so the SVD copies it into its
+    # work buffer by contiguous columns instead of gathering them.
     norms = np.linalg.norm(X, axis=-2)
     norms = np.where(norms > 0.0, norms, 1.0)
-    u, s, vt = np.linalg.svd(X / norms[:, None, :], full_matrices=False)
+    scaled = np.divide(X, norms[:, None, :], out=_k_major(n_sets, n, m))
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
     tol = max(n, m) * np.finfo(float).eps * s[:, 0]
     rank = np.count_nonzero(s > tol[:, None], axis=-1)
 
     # One matrix-vector product per set and contiguous column: a gemm over
     # the columns would reorder the sums and move the last bits of every fit.
-    cols = np.moveaxis(y.reshape(n_sets, n, -1), -1, 1).copy()
+    cols = np.ascontiguousarray(np.moveaxis(y.reshape(n_sets, n, -1), -1, 1))
     k = cols.shape[1]
     beta = np.empty((n_sets, m, k))
-    fitted = np.empty((n_sets, n, k))
+    fitted = _k_major(n_sets, n, k)
     leverage = np.empty((n_sets, n))
     for r in np.unique(rank):
         # a boolean index copies the group, which keeps each matrix's strides

@@ -143,3 +143,42 @@ class TestBasisRows:
         assert matrix.shape == (15, 16)
         for n in (0, 7, 14):
             assert matrix[n] == pytest.approx(basis_row(spec, states[n], z[n]))
+
+
+def per_column_design_matrix(spec, states, z):
+    """The original per-column construction, ones * s_1 ** e_1 * ...: the
+    reference every design matrix must match bit for bit."""
+    n = states.shape[0]
+    cols = np.empty((n, spec.m))
+    for k, term in enumerate(spec.terms):
+        if term.kind == "const":
+            cols[:, k] = 1.0
+        elif term.kind == "payoff":
+            cols[:, k] = z
+        else:
+            col = np.ones(n)
+            for j, e in enumerate(term.exponents):
+                if e:
+                    col = col * states[:, j] ** e
+            cols[:, k] = col
+    return cols
+
+
+@pytest.mark.parametrize(
+    "case, m",
+    [(PUT_SINGLE, m) for m in range(2, 13)]
+    + [(BESTOF_CALL, m) for m in (4, 7, 11)]
+    + [(BASKET_CALL, m) for m in (6, 10, 16)],
+)
+def test_design_matrix_is_bit_identical_to_per_column_terms(case, m):
+    # prices, flips and fingerprints rest on these bits: squares must stay
+    # products and higher powers must stay pow
+    spec = basis_family(case, m)
+    payoff = PayoffSpec(case, strike=100.0)
+    rng = np.random.default_rng(m)
+    values = rng.lognormal(np.log(100.0), 0.3, size=(500, 3, payoff.n_assets))
+    states = values[:, 1, :]  # a strided date slice, as the backward pass passes it
+    z = discounted_payout(payoff, states, 0.5, 0.05)
+    matrix = design_matrix(spec, states, z)
+    assert matrix.shape == (500, m) and matrix.flags.c_contiguous
+    assert matrix.tobytes() == per_column_design_matrix(spec, states, z).tobytes()

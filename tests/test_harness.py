@@ -295,30 +295,45 @@ class TestCli:
         assert "slope=" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "case, line",
+        "command, config",
         [
-            ("put_single", "n_paths = many"),
-            ("basket_call", "n_dates = 1"),
-            ("basket_call", "vol = -0.1"),
-            ("basket_call", "maturity = 0"),
-            ("basket_call", "correlation = -0.9"),
-            ("basket_call", "n_paths = 4"),
-            ("put_single", "pool_size = 1200"),
-            ("put_single", "n_mc_list = 0"),
-            ("put_single", "m_list = 1, 4"),
-            ("put_single", "pool_size = 2400\nn_mc_list = 32\nm_list = 4"),
-            ("put_single", "n_mc_list = 4, 4, 4\nm_list = 4"),
+            ("experiment1 --case put_single", "n_paths = many"),
+            ("experiment1 --case basket_call", "n_dates = 1"),
+            ("experiment1 --case basket_call", "vol = -0.1"),
+            ("experiment1 --case basket_call", "maturity = 0"),
+            ("experiment1 --case basket_call", "correlation = -0.9"),
+            ("experiment1 --case basket_call", "n_paths = 4"),
+            ("experiment1 --case put_single", "pool_size = 1200"),
+            ("experiment1 --case put_single", "n_mc_list = 0"),
+            ("experiment1 --case put_single", "m_list = 1, 4"),
+            ("experiment1 --case put_single", "pool_size = 2400\nn_mc_list = 32\nm_list = 4"),
+            ("experiment1 --case put_single", "n_mc_list = 4, 4, 4\nm_list = 4"),
+            ("experiment2 --case put_single", None),
+            ("experiment2 --case put_single", "spot = 100  # caf\xe9".encode("latin-1")),
+            (
+                "experiment2 --case put_single --out {tmp}/no/such/report.csv",
+                "pool_size = 4000\nn_mc_list = 2, 4\nm_list = 2, 4",
+            ),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
-             "odd_antithetic_sets", "repeated_split"],
+             "odd_antithetic_sets", "repeated_split", "missing_config_file", "not_utf8",
+             "out_dir_missing"],
     )
-    def test_bad_config_exits_2(self, tmp_path, capsys, case, line):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(line + "\n")
-        assert main(["experiment1", "--case", case, "--config", str(cfg)]) == 2
+    def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths generated for a rejected run")
+
+        monkeypatch.setattr(harness, "generate_paths", no_paths)
+        cfg = tmp_path / "bad.cfg"  # None: the file does not exist
+        if isinstance(config, bytes):
+            cfg.write_bytes(config + b"\n")
+        elif config is not None:
+            cfg.write_text(config + "\n")
+        argv = command.format(tmp=tmp_path).split() + ["--config", str(cfg)]
+        assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == ""  # rejected before any row is computed
+        assert captured.out == ""  # rejected before any path or row is computed
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_config_loader_reads_files(self, tmp_path):

@@ -1,5 +1,7 @@
 """Path simulation: correlation factors, exactness, determinism, pooling, I/O."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,28 @@ def test_load_rejects_a_short_header(tmp_path, size):
     target.write_bytes(b"\x01" * size)
     with pytest.raises(ValueError, match=rf"short\.bin' holds {size} bytes"):
         load_paths(str(target), uniform_schedule(5, 1.0).times, 0.05)
+
+
+# sha256 of generate_paths(model, schedule, 64, seed=12345, antithetic).values,
+# recorded before the correlation product became one flattened matrix product;
+# any change to the arithmetic of path generation moves these digests.
+PATH_DIGESTS = {
+    ("put", True): "dbe80b2226a66c0bc4b42ae2cf1fa6ab434a69f98d21977f7379f83b0a3b5c4f",
+    ("put", False): "001194004834059baab573e3725e5864912ca5987ed001982098233c139c929b",
+    ("bestof", True): "ab7a6a29ceb32a93ae223c4a2b01d09d7acac709d4e699d9d5e6c55dbb843073",
+    ("bestof", False): "18f476b04c46356331d111606cd6183835aa6db91f3ba10972819dccdf4220ef",
+    ("basket", True): "e7540c3187e15b20c98d11395c04a37c27d47cd6ead7c5d0d1c6a54766cd83f3",
+    ("basket", False): "173bde23315a6570eaddbe2157ab72e88e3c93764d34562fbbde2567b6ffb702",
+}
+
+
+@pytest.mark.parametrize("family, antithetic", sorted(PATH_DIGESTS))
+def test_path_bits_are_pinned(family, antithetic):
+    model, n_dates, maturity = {
+        "put": (PUT_MODEL, 5, 1.0),
+        "bestof": (BESTOF_MODEL, 9, 3.0),
+        "basket": (BASKET_MODEL, 10, 5.0),
+    }[family]
+    paths = generate_paths(model, uniform_schedule(n_dates, maturity), 64, 12345, antithetic)
+    digest = hashlib.sha256(paths.values.tobytes()).hexdigest()
+    assert digest == PATH_DIGESTS[family, antithetic]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from lsmc.regression import (
     DesignMatrix,
     fit_least_squares,
+    fit_least_squares_stack,
     loo_fallback_mask,
     loo_predictions,
     loo_residuals,
@@ -104,6 +105,28 @@ class TestFitLeastSquares:
                 np.testing.assert_array_equal(fit.beta[:, j], alone.beta)
                 np.testing.assert_array_equal(fit.leverage, alone.leverage)
                 np.testing.assert_array_equal(loo_predictions(fit)[:, j], loo_predictions(alone))
+
+    def test_stacked_fit_is_independent_of_memory_layout(self):
+        # the backward pass hands the fit C-ordered designs and a response
+        # block stored column by column; no layout may move a bit
+        rng = np.random.default_rng(5)
+        s = rng.uniform(80.0, 120.0, size=(3, 200, 1))
+        x = np.concatenate([s**k for k in range(6)], axis=-1)
+        x[1, :, 3] = 2.0 * x[1, :, 2]  # one rank-deficient set among full-rank ones
+        y = rng.standard_normal((3, 200, 2))
+        fortran = np.empty((3, 6, 200)).transpose(0, 2, 1)
+        fortran[...] = x
+        wide = np.zeros((3, 400, 9))
+        wide[:, ::2, 1:7] = x
+        k_major = np.empty((3, 2, 200)).transpose(0, 2, 1)
+        k_major[...] = y
+        reference = fit_least_squares_stack(x, y)
+        assert list(reference.rank) == [6, 5, 6]
+        for xs in (x, fortran, wide[:, ::2, 1:7]):
+            for ys in (y, k_major):
+                fit = fit_least_squares_stack(xs, ys)
+                for name in ("beta", "fitted", "residuals", "leverage", "rank"):
+                    assert getattr(fit, name).tobytes() == getattr(reference, name).tobytes()
 
     def test_rejects_nonfinite_with_location(self):
         x = THREE_POINT_X.copy()
