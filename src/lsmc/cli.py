@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import harness
 from .contracts import PAYOFF_KINDS, basis_family
@@ -76,7 +77,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
             overrides["strike"] = args.strike
         else:
             overrides["keys"] = (args.strike,)
-    config = harness.apply_overrides(config, overrides)
+    config = replace(config, **overrides)
 
     key = config.keys[0]
     model = config.model_for_key(key)
@@ -120,7 +121,7 @@ def _cmd_experiment(args: argparse.Namespace, experiment: int) -> int:
     if "case" in overrides and overrides["case"] != args.case:
         raise ConfigError(f"--case {args.case} conflicts with config case {overrides['case']}")
     overrides.pop("case", None)
-    config = harness.apply_overrides(config, overrides)
+    config = replace(config, **overrides)
 
     run = harness.run_experiment1 if experiment == 1 else harness.run_experiment2
     report = run(config)
@@ -141,7 +142,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     try:
         ref = reference_price(args.case, args.key)
     except KeyError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(exc.args[0]) from None
     print(f"case      {ref.case}")
     print(f"key       {ref.key:g}")
     print(f"bermudan  {ref.bermudan:.3f}")

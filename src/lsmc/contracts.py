@@ -22,38 +22,25 @@ PAYOFF_KINDS = (PUT_SINGLE, BESTOF_CALL, BASKET_CALL)
 
 N_ASSETS = {PUT_SINGLE: 1, BESTOF_CALL: 2, BASKET_CALL: 4}
 
+# The basket averages its four assets with equal weights.
+BASKET_WEIGHTS = np.full(N_ASSETS[BASKET_CALL], 0.25)
+
 
 @dataclass(frozen=True, eq=False)
 class PayoffSpec:
-    """Contract payoff: kind, strike, and (for the basket) averaging weights.
-
-    All three kinds pay max(., 0), so nonnegative defaults to True; the flag
-    drives the engine rule that a zero payout always continues.
-    """
+    """Contract payoff: kind and strike.  Every kind pays max(., 0)."""
 
     kind: str
     strike: float
-    weights: tuple[float, ...] | None = None
-    nonnegative: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in PAYOFF_KINDS:
             raise ValueError(f"unknown payoff kind {self.kind!r}; expected one of {PAYOFF_KINDS}")
         if not self.strike > 0.0:
             raise ValueError("strike must be strictly positive")
-        if self.kind == BASKET_CALL:
-            w = self.weights if self.weights is not None else (0.25, 0.25, 0.25, 0.25)
-            w = tuple(float(x) for x in w)
-            if not math.isclose(sum(w), 1.0, rel_tol=0.0, abs_tol=1e-12):
-                raise ValueError("basket weights must sum to 1")
-            object.__setattr__(self, "weights", w)
-        elif self.weights is not None:
-            raise ValueError(f"weights are only meaningful for {BASKET_CALL}")
 
     @property
     def n_assets(self) -> int:
-        if self.kind == BASKET_CALL:
-            return len(self.weights)
         return N_ASSETS[self.kind]
 
 
@@ -75,7 +62,7 @@ def discounted_payout(
     elif spec.kind == BESTOF_CALL:
         raw = np.maximum(s2.max(axis=1) - spec.strike, 0.0)
     else:
-        raw = np.maximum(s2 @ np.asarray(spec.weights) - spec.strike, 0.0)
+        raw = np.maximum(s2 @ BASKET_WEIGHTS - spec.strike, 0.0)
     out = math.exp(-rate * t) * raw
     return out if batched else float(out[0])
 

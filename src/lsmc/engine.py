@@ -81,15 +81,14 @@ class BiasStats:
     std_error: float
 
 
-def continue_mask(z, c, nonnegative: bool):
+def continue_mask(z, c):
     """True where the option is held past the date (elementwise on arrays).
 
-    Continuation wins ties (c == z), and a zero payout on a non-negative
-    claim always continues: a negative fitted continuation value there is a
-    regression artifact, never a reason to exercise worthless paths.
+    Continuation wins ties (c == z), and a zero payout always continues:
+    every payoff is non-negative, so a negative fitted continuation value
+    there is a regression artifact, never a reason to exercise worthless paths.
     """
-    mask = c >= z
-    return mask | (z == 0.0) if nonnegative else mask
+    return (c >= z) | (z == 0.0)
 
 
 def _payout_matrix(paths: PathSet, payoff: PayoffSpec) -> np.ndarray:
@@ -198,8 +197,8 @@ def price_backward_stack(
         c_loo = loo_predictions(fit)
         fallbacks += loo_fallback_mask(fit).sum(axis=-1)
 
-        keep_full = continue_mask(zi[..., None], fit.fitted, payoff.nonnegative)
-        keep_loo = continue_mask(zi[..., None], c_loo, payoff.nonnegative)
+        keep_full = continue_mask(zi[..., None], fit.fitted)
+        keep_loo = continue_mask(zi[..., None], c_loo)
         flips[..., i] = np.count_nonzero(keep_full != keep_loo, axis=-2)
         if trace is not None:
             trace.extend(
@@ -259,7 +258,7 @@ def price_two_pass(
         zi = z[:, i]
         x = design_matrix(basis, valuation_paths.values[:, i, :], zi)
         c = x @ policy.coefficients[i]
-        keep = continue_mask(zi, c, payoff.nonnegative)
+        keep = continue_mask(zi, c)
         value = np.where(keep, value, zi)
 
     ranks = policy_result.ranks

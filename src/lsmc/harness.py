@@ -457,7 +457,7 @@ def _references(config: ExperimentConfig, key: float):
     try:
         ref = reference_price(config.case, key)
     except KeyError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(exc.args[0]) from None
     if config.case == PUT_SINGLE:
         exact = bs_european_put(
             config.spot, config.vol, config.rate, config.dividend, key, config.maturity
@@ -527,10 +527,12 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
         }
     )
 
+    # every key is looked up first, so an off-grid key fails before any path is generated
+    references = {key: _references(config, key) for key in config.keys}
     for key in config.keys:
         model = config.model_for_key(key)
         payoff = config.payoff_for_key(key)
-        ref, exact_euro = _references(config, key)
+        ref, exact_euro = references[key]
 
         def run_set(k: int, _model=model, _payoff=payoff, _exact=exact_euro):
             paths = generate_paths(
@@ -703,12 +705,3 @@ def fit_bias_slope(points: list[tuple[float, float, float]]) -> SlopeFit:
         intercept_se=float(np.sqrt(cov[1, 1])),
         n_points=len(points),
     )
-
-
-def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    """New config with the given fields replaced; unknown fields are rejected."""
-    valid = set(config.__dataclass_fields__)
-    bad = sorted(set(overrides) - valid)
-    if bad:
-        raise ConfigError(f"unknown config fields: {bad}")
-    return replace(config, **overrides)

@@ -47,8 +47,6 @@ class TestPayoffs:
             PayoffSpec("chooser", strike=100.0)
         with pytest.raises(ValueError, match="strike"):
             PayoffSpec(PUT_SINGLE, strike=0.0)
-        with pytest.raises(ValueError, match="sum to 1"):
-            PayoffSpec(BASKET_CALL, strike=100.0, weights=(0.5, 0.5, 0.5, 0.5))
         with pytest.raises(ValueError, match="asset"):
             discounted_payout(PayoffSpec(PUT_SINGLE, strike=100.0), np.ones(2), 1.0, 0.0)
 

@@ -58,21 +58,20 @@ def desk_paths(n=4000, seed=314):
 
 class TestDecideContinue:
     def test_plain_indicator(self):
-        assert continue_mask(5.0, 7.0, nonnegative=True)
-        assert not continue_mask(5.0, 3.0, nonnegative=True)
+        assert continue_mask(5.0, 7.0)
+        assert not continue_mask(5.0, 3.0)
         np.testing.assert_array_equal(
-            continue_mask(np.array([5.0, 5.0]), np.array([7.0, 3.0]), True), [True, False]
+            continue_mask(np.array([5.0, 5.0]), np.array([7.0, 3.0])), [True, False]
         )
 
     def test_zero_payout_overrides_negative_continuation(self):
-        assert continue_mask(0.0, -1.0, nonnegative=True)
-        assert not continue_mask(0.0, -1.0, nonnegative=False)
+        assert continue_mask(0.0, -1.0)
         np.testing.assert_array_equal(
-            continue_mask(np.array([0.0, 1.0]), np.array([-1.0, -1.0]), True), [True, False]
+            continue_mask(np.array([0.0, 1.0]), np.array([-1.0, -1.0])), [True, False]
         )
 
     def test_tie_continues(self):
-        assert continue_mask(5.0, 5.0, nonnegative=True)
+        assert continue_mask(5.0, 5.0)
 
 
 @pytest.mark.filterwarnings("ignore:3 paths for 3 regressors")

@@ -276,6 +276,8 @@ class TestCli:
 
     def test_oracle_unknown_key_exits_2(self, capsys):
         assert main(["oracle", "--case", "put_single", "--key", "85"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no reference price")
 
     def test_experiment1_with_config_and_output(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -314,11 +316,12 @@ class TestCli:
                 "experiment2 --case put_single --out {tmp}/no/such/report.csv",
                 "pool_size = 4000\nn_mc_list = 2, 4\nm_list = 2, 4",
             ),
+            ("experiment1 --case put_single", "keys = 100, 95\nn_paths = 400\nn_mc = 2"),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
              "odd_antithetic_sets", "repeated_split", "missing_config_file", "not_utf8",
-             "out_dir_missing"],
+             "out_dir_missing", "off_grid_key"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):
@@ -335,6 +338,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""  # rejected before any path or row is computed
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err[len("error: ")] not in "\"'"
 
     def test_config_loader_reads_files(self, tmp_path):
         cfg = tmp_path / "a.cfg"

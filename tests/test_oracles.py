@@ -1,7 +1,7 @@
 """Reference pricers checked against closed forms, benchmarks, and each other.
 
-The bivariate normal quadrature is cross-checked against an independent
-Owen's-T construction, and the Monte Carlo European prices are reconciled
+The bivariate normal CDF is cross-checked against direct numerical
+integration, and the Monte Carlo European prices are reconciled
 with the analytic oracles at one million paths.
 """
 
@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import owens_t
+from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from lsmc.contracts import BASKET_CALL, BESTOF_CALL, PUT_SINGLE, PayoffSpec
@@ -80,13 +81,15 @@ class TestBlackScholesPut:
         assert bs_european_put(100, 0.0, 0.05, 0.02, 120, 1.0) == pytest.approx(expected)
 
 
-def owen_bvn(h: float, k: float, rho: float) -> float:
-    """Independent bivariate normal CDF via Owen's T; valid for |rho| < 1, hk != 0."""
+def quad_bvn(a: float, b: float, rho: float) -> float:
+    """Independent bivariate normal CDF: the integral over x <= a of
+    phi(x) Phi((b - rho x) / sqrt(1 - rho^2)); valid for |rho| < 1.  The
+    integrand's mass below x = -10 is under 1e-23, so the range starts there."""
     den = math.sqrt(1.0 - rho * rho)
-    beta = 0.5 if h * k < 0 else 0.0
-    t1 = owens_t(h, (k - rho * h) / (h * den))
-    t2 = owens_t(k, (h - rho * k) / (k * den))
-    return 0.5 * (norm.cdf(h) + norm.cdf(k)) - t1 - t2 - beta
+    return integrate.quad(
+        lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * ndtr((b - rho * x) / den),
+        -10.0, a, epsabs=1e-15, epsrel=1e-13, limit=200,
+    )[0]
 
 
 class TestBivariateNormalCdf:
@@ -110,14 +113,16 @@ class TestBivariateNormalCdf:
                 bivariate_normal_cdf(b, a, rho), abs=1e-14
             )
 
-    def test_against_owens_t_construction(self):
-        rhos = [-0.999, -0.95, -0.7, -0.3, 0.0001, 0.3, 0.7, 0.95, 0.999]
-        grid = [-2.5, -1.0, -0.4, 0.3, 1.1, 2.7]
+    def test_against_quadrature(self):
+        # zero arguments take the explicit limits; |rho| = 0.92 and 0.93 straddle
+        # the branch switch of the Drezner-Genz quadrature the pins below come from
+        rhos = [-0.999, -0.95, -0.93, -0.92, -0.7, -0.3, 0.0001, 0.3, 0.7, 0.92, 0.93, 0.95, 0.999]
+        grid = [-2.5, -1.0, -0.4, 0.0, 0.3, 1.1, 2.7]
         for rho in rhos:
             for a in grid:
                 for b in grid:
                     assert bivariate_normal_cdf(a, b, rho) == pytest.approx(
-                        owen_bvn(a, b, rho), abs=1e-7
+                        quad_bvn(a, b, rho), abs=1e-12
                     )
 
     def test_monotone_in_each_argument_and_rho(self):
@@ -146,6 +151,16 @@ class TestBestOfTwoCall:
     def test_benchmark_values(self, spot):
         value = bestof2_european_call(bestof_model(spot), 100.0, 3.0)
         assert value == pytest.approx(BESTOF_TABLE[spot][1], abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "spot, pinned",
+        [(90, 6.655098004077313), (100, 11.195681033054463), (110, 16.928565572415742)],
+    )
+    def test_pinned_values(self, spot, pinned):
+        # prices of the Drezner-Genz quadrature this closed form replaced
+        assert bestof2_european_call(bestof_model(spot), 100.0, 3.0) == pytest.approx(
+            pinned, abs=1e-12
+        )
 
     def test_worthless_second_asset_degenerates_to_single_asset_call(self):
         model = GbmModel(spot=[100.0, 100.0], rate=0.05, dividend=[0.02, 5.0],
