@@ -28,7 +28,6 @@ from .engine import (
     apply_control_variate,
     continue_mask,
     european_mc_price,
-    lookahead_bias,
     price_backward,
     price_two_pass,
 )
@@ -50,9 +49,7 @@ from .market import (
     GbmModel,
     PathSet,
     correlation_factor,
-    dump_paths,
     generate_paths,
-    load_paths,
     split_pool,
     uniform_schedule,
 )

@@ -72,15 +72,6 @@ class DateTrace:
     rank: int
 
 
-@dataclass(frozen=True, eq=False)
-class BiasStats:
-    """Look-ahead bias measured as the classical-minus-leave-one-out difference."""
-
-    mean: float
-    per_path: np.ndarray
-    std_error: float
-
-
 def continue_mask(z, c):
     """True where the option is held past the date (elementwise on arrays).
 
@@ -91,7 +82,8 @@ def continue_mask(z, c):
     return (c >= z) | (z == 0.0)
 
 
-def _payout_matrix(paths: PathSet, payoff: PayoffSpec) -> np.ndarray:
+def payout_matrix(paths: PathSet, payoff: PayoffSpec) -> np.ndarray:
+    """(N, I) discounted payout of every path at every exercise date."""
     if paths.n_assets != payoff.n_assets:
         raise ValueError(
             f"{payoff.kind} expects {payoff.n_assets} asset(s), paths carry {paths.n_assets}"
@@ -113,9 +105,10 @@ def _std_error(per_path: np.ndarray, antithetic: bool) -> float:
     return float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
 
 
-def _result(
+def pricing_result(
     per_path: np.ndarray, mode: str, paths: PathSet, ranks=(), fallbacks=0, flips=()
 ) -> PricingResult:
+    """Result whose per-path values, priced on `paths`, are per_path."""
     return PricingResult(
         price=float(per_path.mean()),
         per_path_value=per_path,
@@ -175,31 +168,49 @@ def price_backward_stack(
             stacklevel=2,
         )
 
-    z = _payout_matrix(paths, payoff).reshape(n_sets, n, paths.n_dates)
-    n_dates = paths.n_dates
-    # column 0 follows the classical decisions, column 1 the leave-one-out
-    # ones; each column is stored contiguously, so every elementwise step
-    # runs over whole rows of N paths instead of an innermost axis of 2
-    value = np.empty((n_sets, 2, n)).transpose(0, 2, 1)
-    value[...] = z[..., -1:]
-    keep = np.empty((n_sets, 2, n), dtype=bool).transpose(0, 2, 1)
-    betas = np.empty((n_sets, n_dates - 1, basis.m))
-    ranks = np.zeros((n_sets, n_dates - 1), dtype=int)
-    flips = np.zeros((n_sets, 2, n_dates - 1), dtype=int)
-    fallbacks = np.zeros(n_sets, dtype=int)
+    z = payout_matrix(paths, payoff).reshape(n_sets, n, paths.n_dates)
+    stack = BackwardStack(z[..., -1], paths.n_dates, basis.m)
+    for i in range(paths.n_dates - 2, -1, -1):
+        x = design_matrix(basis, paths.values[:, i, :], z[..., i].reshape(-1))
+        stack.step(i, z[..., i], x.reshape(n_sets, n, basis.m), trace)
+    return stack.results(sets, basis)
 
-    for i in range(n_dates - 2, -1, -1):
-        zi = z[..., i]
-        x = design_matrix(basis, paths.values[:, i, :], zi.reshape(-1))
-        fit = fit_least_squares_stack(x.reshape(n_sets, n, basis.m), value)
+
+class BackwardStack:
+    """A stack of n_sets path sets of n paths each, part-way through the backward pass.
+
+    It starts from the sets' (n_sets, n) maturity payouts.  Each step
+    regresses one earlier date, latest first, for every set at once, and
+    results reads off both estimators once date 0 is done.  Column 0 of
+    value follows the classical decisions, column 1 the leave-one-out ones.
+    """
+
+    def __init__(self, maturity_payout: np.ndarray, n_dates: int, m: int) -> None:
+        n_sets, n = maturity_payout.shape
+        # each column is stored contiguously, so every elementwise step
+        # runs over whole rows of N paths instead of an innermost axis of 2
+        self.value = np.empty((n_sets, 2, n)).transpose(0, 2, 1)
+        self.value[...] = maturity_payout[..., None]
+        self.keep = np.empty((n_sets, 2, n), dtype=bool).transpose(0, 2, 1)
+        self.betas = np.empty((n_sets, n_dates - 1, m))
+        self.ranks = np.zeros((n_sets, n_dates - 1), dtype=int)
+        self.flips = np.zeros((n_sets, 2, n_dates - 1), dtype=int)
+        self.fallbacks = np.zeros(n_sets, dtype=int)
+
+    def step(
+        self, i: int, zi: np.ndarray, x: np.ndarray, trace: list[DateTrace] | None = None
+    ) -> None:
+        """Date i: zi is its (n_sets, n) payout and x its (n_sets, n, m) design stack."""
+        value = self.value
+        fit = fit_least_squares_stack(x, value)
         if not fit.rank.all():
             raise NumericalError(f"rank-zero regression at exercise date index {i}")
         c_loo = loo_predictions(fit)
-        fallbacks += loo_fallback_mask(fit).sum(axis=-1)
+        self.fallbacks += loo_fallback_mask(fit).sum(axis=-1)
 
         keep_full = continue_mask(zi[..., None], fit.fitted)
         keep_loo = continue_mask(zi[..., None], c_loo)
-        flips[..., i] = np.count_nonzero(keep_full != keep_loo, axis=-2)
+        self.flips[..., i] = np.count_nonzero(keep_full != keep_loo, axis=-2)
         if trace is not None:
             trace.extend(
                 DateTrace(
@@ -211,23 +222,28 @@ def price_backward_stack(
                     leverage=fit.leverage[k],
                     rank=int(fit.rank[k]),
                 )
-                for k in range(n_sets)
+                for k in range(zi.shape[0])
             )
-        keep[..., 0] = keep_full[..., 0]
-        keep[..., 1] = keep_loo[..., 1]
-        value = np.where(keep, value, zi[..., None])
-        betas[:, i] = fit.beta[..., 0]
-        ranks[:, i] = fit.rank
+        self.keep[..., 0] = keep_full[..., 0]
+        self.keep[..., 1] = keep_loo[..., 1]
+        np.copyto(value, zi[..., None], where=~self.keep)
+        self.betas[:, i] = fit.beta[..., 0]
+        self.ranks[:, i] = fit.rank
 
-    priced = []
-    for k, paths_k in enumerate(sets):
-        lsm_value, loo_value = value[k].T.copy()
-        priced.append((
-            _result(lsm_value, MODE_LSM, paths_k, ranks[k], fallbacks[k], flips[k, 0]),
-            _result(loo_value, MODE_LOOLSM, paths_k, ranks[k], fallbacks[k], flips[k, 1]),
-            ExercisePolicy(coefficients=tuple(betas[k]), basis=basis),
-        ))
-    return priced
+    def results(
+        self, sets: list[PathSet], basis: BasisSpec
+    ) -> list[tuple[PricingResult, PricingResult, ExercisePolicy]]:
+        """Classical result, leave-one-out result and classical policy of each set."""
+        priced = []
+        for k, paths_k in enumerate(sets):
+            lsm_value, loo_value = self.value[k].T.copy()
+            ranks, fallbacks, flips = self.ranks[k], self.fallbacks[k], self.flips[k]
+            priced.append((
+                pricing_result(lsm_value, MODE_LSM, paths_k, ranks, fallbacks, flips[0]),
+                pricing_result(loo_value, MODE_LOOLSM, paths_k, ranks, fallbacks, flips[1]),
+                ExercisePolicy(coefficients=tuple(self.betas[k]), basis=basis),
+            ))
+        return priced
 
 
 def price_two_pass(
@@ -252,7 +268,7 @@ def price_two_pass(
         raise ValueError("policy and valuation path sets must share the discount rate")
 
     policy_result, _, policy = price_backward(policy_paths, payoff, basis)
-    z = _payout_matrix(valuation_paths, payoff)
+    z = payout_matrix(valuation_paths, payoff)
     value = z[:, -1].copy()
     for i in range(valuation_paths.n_dates - 2, -1, -1):
         zi = z[:, i]
@@ -262,7 +278,7 @@ def price_two_pass(
         value = np.where(keep, value, zi)
 
     ranks = policy_result.ranks
-    return _result(value, MODE_LSM2, valuation_paths, ranks, flips=[0] * len(ranks))
+    return pricing_result(value, MODE_LSM2, valuation_paths, ranks, flips=[0] * len(ranks))
 
 
 def european_mc_price(paths: PathSet, payoff: PayoffSpec) -> PricingResult:
@@ -270,7 +286,7 @@ def european_mc_price(paths: PathSet, payoff: PayoffSpec) -> PricingResult:
     zt = discounted_payout(
         payoff, paths.values[:, -1, :], float(paths.times[-1]), paths.rate
     )
-    return _result(np.asarray(zt), MODE_EUROPEAN, paths)
+    return pricing_result(np.asarray(zt), MODE_EUROPEAN, paths)
 
 
 def apply_control_variate(
@@ -293,14 +309,3 @@ def apply_control_variate(
         std_error=_std_error(per_path, result.antithetic),
     )
 
-
-def lookahead_bias(lsm: PricingResult, loolsm: PricingResult) -> BiasStats:
-    """Per-path and mean price difference between the classical and LOO runs."""
-    if lsm.provenance != loolsm.provenance:
-        raise ValueError("bias requires both results from the same path set")
-    per_path = lsm.per_path_value - loolsm.per_path_value
-    return BiasStats(
-        mean=float(per_path.mean()),
-        per_path=per_path,
-        std_error=_std_error(per_path, lsm.antithetic),
-    )

@@ -19,7 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -33,18 +33,21 @@ from .contracts import (
     PUT_SINGLE,
     PayoffSpec,
     basis_family,
+    design_matrix,
 )
 from .engine import (
     MODE_EUROPEAN,
     MODE_LOOLSM,
     MODE_LSM,
     MODE_LSM2,
+    BackwardStack,
     PricingResult,
     apply_control_variate,
     european_mc_price,
+    payout_matrix,
     price_backward,
-    price_backward_stack,
     price_two_pass,
+    pricing_result,
 )
 from .errors import ConfigError
 from .market import GbmModel, correlation_factor, generate_paths, split_pool, uniform_schedule
@@ -159,6 +162,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.case not in PAYOFF_KINDS:
             raise ConfigError(f"unknown case {self.case!r}; expected one of {PAYOFF_KINDS}")
+        for name in _FLOAT_FIELDS:
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.keys:
             raise ConfigError("at least one strike/spot key is required")
         bad = [e for e in self.estimators if e not in (MODE_LSM, MODE_LSM2, MODE_LOOLSM)]
@@ -265,9 +271,9 @@ def _value_parser(hint):
     return {bool: _parse_bool, str: str.strip}.get(hint, hint)
 
 
-_VALUE_PARSERS = {
-    name: _value_parser(hint) for name, hint in get_type_hints(ExperimentConfig).items()
-}
+_HINTS = get_type_hints(ExperimentConfig)
+_VALUE_PARSERS = {name: _value_parser(hint) for name, hint in _HINTS.items()}
+_FLOAT_FIELDS = tuple(name for name, hint in _HINTS.items() if hint in (float, tuple[float, ...]))
 
 
 def parse_config_text(text: str) -> dict:
@@ -404,25 +410,6 @@ def emit_csv(report: ExperimentReport, path: str) -> None:
             f.write(csv_text(report))
     except OSError as exc:
         raise OSError(f"cannot write report to {path!r}: {exc}") from exc
-
-
-def read_csv(path: str) -> list[dict]:
-    """Parse a report CSV back into dictionaries (empty fields become NaN)."""
-    with open(path, encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f if line.strip()]
-    if not lines or lines[0] != CSV_COLUMNS:
-        raise ValueError(f"{path!r} does not start with the report header")
-    names = CSV_COLUMNS.split(",")
-    out = []
-    for line in lines[1:]:
-        values = line.split(",")
-        rec: dict = dict(zip(names, values))
-        for name in ("key", "mean_offset", "std", "se_mean", "mean_bias", "bias_se", "wall_ms"):
-            rec[name] = float(rec[name]) if rec[name] else float("nan")
-        for name in ("M", "N", "n_mc", "flips_total", "min_rank"):
-            rec[name] = int(rec[name])
-        out.append(rec)
-    return out
 
 
 def _spread(values: np.ndarray) -> tuple[float, float]:
@@ -588,16 +575,21 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
 def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     """Look-ahead bias as a function of M/N on nested splits of one path pool.
 
-    One pool is generated once and shared across every basis size, then split
-    into n_mc contiguous sets for each entry of n_mc_list; this controls the
-    Monte Carlo variance across set sizes.  Per set, one backward pass prices
-    both estimators, and bias is the classical price minus the leave-one-out
+    One pool is shared across every basis size and split into n_mc
+    contiguous sets for each entry of n_mc_list; this controls the Monte
+    Carlo variance across set sizes.  Per set, one backward pass prices both
+    estimators, and bias is the classical price minus the leave-one-out
     price on identical paths; offsets use the European control variate when
-    enabled (the bias is unaffected by it).  Consecutive sets are priced as
-    one stack of at most BLOCK_ROWS rows (one set, if larger), and the blocks
-    are the tasks spread over `threads`; each set reports an equal share of its block's wall time,
-    split evenly between the two estimators.  The report carries a weighted
+    enabled (the bias is unaffected by it).  The report carries a weighted
     straight-line fit of mean bias against M/N.
+
+    The pool is priced in gcd(n_mc_list) chunks, the tasks spread over
+    `threads`; every set of every split lies inside one chunk.  A chunk is
+    generated once, with one payout matrix and, per date, one design matrix
+    at max(m_list) whose column prefixes serve every cell.  Within a cell,
+    consecutive sets step back as one stack of at most BLOCK_ROWS rows (one
+    set, if larger).  Each set reports an equal share of its stack's
+    backward-step time, split evenly between the two estimators.
     """
     if len(config.keys) != 1:
         raise ConfigError("experiment 2 runs one strike/spot at a time")
@@ -607,8 +599,50 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     payoff = config.payoff_for_key(key)
     ref, exact_euro = _references(config, key)
     pool_seed = derive_seed(config.base_seed, config.case, "pool")
-    pool = generate_paths(model, schedule, config.pool_size, pool_seed, config.antithetic)
+    bases = {m: basis_family(config.case, m) for m in config.m_list}
+    n_chunks = math.gcd(*config.n_mc_list)
+    chunk_rows = config.pool_size // n_chunks
+    cells_of = [(m, n_mc) for m in config.m_list for n_mc in config.n_mc_list]
 
+    def run_chunk(c: int) -> dict:
+        chunk = generate_paths(
+            model, schedule, chunk_rows, pool_seed, config.antithetic, offset=c * chunk_rows
+        )
+        z = payout_matrix(chunk, payoff)
+        euro = np.ascontiguousarray(z[:, -1])
+        stacks = []  # (cell, set size, first set, stop set, stack) per stack
+        for m, n_mc in cells_of:
+            n = config.pool_size // n_mc
+            for first, stop in _set_blocks(chunk_rows // n, n):
+                stack = BackwardStack(euro[first * n : stop * n].reshape(-1, n), chunk.n_dates, m)
+                stacks.append(((m, n_mc), n, first, stop, stack))
+        seconds = np.zeros(len(stacks))
+        for i in range(chunk.n_dates - 2, -1, -1):
+            x = design_matrix(bases[max(config.m_list)], chunk.values[:, i, :], z[:, i])
+            for s, ((m, _), n, first, stop, stack) in enumerate(stacks):
+                rows = slice(first * n, stop * n)
+                t0 = time.perf_counter()
+                stack.step(i, z[rows, i].reshape(-1, n), x[rows, :m].reshape(-1, n, m))
+                seconds[s] += time.perf_counter() - t0
+            del x  # so the next date's matrix is built without this one alive
+
+        cells: dict = {cell: [] for cell in cells_of}
+        for (cell, n, first, stop, stack), busy in zip(stacks, seconds):
+            sets = split_pool(chunk, chunk_rows // n)[first:stop]
+            share = busy * 1e3 / (stop - first) / 2
+            for paths, (lsm, loo, _) in zip(sets, stack.results(sets, bases[cell[0]])):
+                bias = lsm.price - loo.price
+                if config.control_variate:
+                    row = paths.pool_offset - chunk.pool_offset
+                    mc_euro = pricing_result(euro[row : row + n], MODE_EUROPEAN, paths)
+                    lsm = apply_control_variate(lsm, exact_euro, mc_euro)
+                    loo = apply_control_variate(loo, exact_euro, mc_euro)
+                cells[cell].append(
+                    {MODE_LSM: _cell(lsm, share), MODE_LOOLSM: _cell(loo, share), "bias": bias}
+                )
+        return cells
+
+    per_chunk = _map_sets(run_chunk, n_chunks, config.threads)
     report = ExperimentReport(
         meta={
             "experiment": "2",
@@ -621,46 +655,20 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
             "control_variate": str(config.control_variate).lower(),
         }
     )
+    if config.case == BASKET_CALL:
+        report.meta.update((f"basis_m{m}", " ".join(b.labels)) for m, b in bases.items())
     points: list[tuple[float, float, float]] = []
-    for m in config.m_list:
-        basis = basis_family(config.case, m)
-        if config.case == BASKET_CALL:
-            report.meta[f"basis_m{m}"] = " ".join(basis.labels)
-        for n_mc in config.n_mc_list:
-            sets = split_pool(pool, n_mc)
-            n_per_set = sets[0].n_paths
-            blocks = _set_blocks(n_mc, n_per_set)
-
-            def run_block(b: int, _sets=sets, _blocks=blocks, _basis=basis):
-                first, stop = _blocks[b]
-                block = replace(
-                    _sets[first], values=pool.values[first * n_per_set : stop * n_per_set]
-                )
-                t0 = time.perf_counter()
-                priced = price_backward_stack(block, stop - first, payoff, _basis)
-                share = (time.perf_counter() - t0) * 1e3 / (stop - first) / 2
-                cells = []
-                for paths, (lsm, loo, _) in zip(_sets[first:stop], priced):
-                    bias = lsm.price - loo.price
-                    if config.control_variate:
-                        euro = european_mc_price(paths, payoff)
-                        lsm = apply_control_variate(lsm, exact_euro, euro)
-                        loo = apply_control_variate(loo, exact_euro, euro)
-                    cells.append(
-                        {MODE_LSM: _cell(lsm, share), MODE_LOOLSM: _cell(loo, share), "bias": bias}
-                    )
-                return cells
-
-            per_block = _map_sets(run_block, len(blocks), config.threads)
-            cells = [cell for block_cells in per_block for cell in block_cells]
-            biases = np.array([c["bias"] for c in cells])
-            bias = bias_mean, bias_se = float(biases.mean()), _spread(biases)[1]
-            for estimator in (MODE_LSM, MODE_LOOLSM):
-                report.rows.append(
-                    _report_row(config, key, estimator, m, n_per_set, cells, ref.bermudan, bias)
-                )
-            if n_mc >= 2 and math.isfinite(bias_se) and bias_se > 0.0:
-                points.append((m / n_per_set, bias_mean, 1.0 / bias_se**2))
+    for m, n_mc in cells_of:
+        n_per_set = config.pool_size // n_mc
+        cells = [cell for chunk_cells in per_chunk for cell in chunk_cells[m, n_mc]]
+        biases = np.array([c["bias"] for c in cells])
+        bias = bias_mean, bias_se = float(biases.mean()), _spread(biases)[1]
+        for estimator in (MODE_LSM, MODE_LOOLSM):
+            report.rows.append(
+                _report_row(config, key, estimator, m, n_per_set, cells, ref.bermudan, bias)
+            )
+        if n_mc >= 2 and math.isfinite(bias_se) and bias_se > 0.0:
+            points.append((m / n_per_set, bias_mean, 1.0 / bias_se**2))
 
     if len(points) >= 3:
         report.slope = fit_bias_slope(points)

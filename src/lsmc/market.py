@@ -9,7 +9,6 @@ with bit-identical results.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ from scipy.special import ndtri
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-_DUMP_HEADER = struct.Struct("<qqqQq")  # n_paths, n_dates, n_assets, seed, antithetic
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -42,7 +39,7 @@ def _standard_normals(seed: int, counters: np.ndarray) -> np.ndarray:
         key = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
         words = _mix64(key + (counters + np.uint64(1)) * _GOLDEN)
     u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    return ndtri(u)
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,6 +184,7 @@ def generate_paths(
     n_paths: int,
     seed: int,
     antithetic: bool = True,
+    offset: int = 0,
 ) -> PathSet:
     """Simulate n_paths exact GBM trajectories on the schedule.
 
@@ -194,43 +192,52 @@ def generate_paths(
         S_j(t_{i+1}) = S_j(t_i) * exp((r - q_j - vol_j^2 / 2) dt + vol_j sqrt(dt) (L z)_j)
     with z drawn from the counter stream of `seed`.  With antithetic=True the
     paths (2k, 2k+1) share draws with opposite signs, so n_paths must be even.
-    The result depends only on (model, schedule, n_paths, seed, antithetic).
+    The result depends only on (model, schedule, n_paths, seed, antithetic,
+    offset).  Paths offset .. offset + n_paths - 1 of a larger pool of the
+    same stream come out bit for bit as that slice of the pool, with
+    pool_offset = offset, so a pool can be generated one chunk at a time; an
+    antithetic chunk must start on a pair, at an even offset.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     if antithetic and n_paths % 2 != 0:
         raise ValueError("n_paths must be even for antithetic sampling")
+    if offset < 0 or (antithetic and offset % 2 != 0):
+        raise ValueError(f"offset {offset} is negative or splits an antithetic pair")
 
     n_dates, n_assets = schedule.n_dates, model.n_assets
     chol = correlation_factor(model.correlation)
 
-    n_base = n_paths // 2 if antithetic else n_paths
-    counters = np.arange(n_base * n_dates * n_assets, dtype=np.uint64).reshape(
-        n_base, n_dates, n_assets
-    )
-    draws = _standard_normals(seed, counters)
+    n_base, first = (n_paths // 2, offset // 2) if antithetic else (n_paths, offset)
+    words = n_dates * n_assets
+    counters = np.arange(first * words, (first + n_base) * words, dtype=np.uint64)
+    z = draws = _standard_normals(seed, counters.reshape(n_base, n_dates, n_assets))
+    del counters
     if antithetic:
         z = np.empty((n_paths, n_dates, n_assets))
         z[0::2] = draws
-        z[1::2] = -draws
-    else:
-        z = draws
+        np.negative(draws, out=z[1::2])
+    del draws
 
     dt = np.diff(np.concatenate([[0.0], schedule.times]))
     drift = (model.rate - model.dividend[None, :] - 0.5 * model.vol[None, :] ** 2) * dt[:, None]
     scale = model.vol[None, :] * np.sqrt(dt)[:, None]
-    # one (N * I, J) @ (J, J) product, scaled and shifted in place
-    increments = (z.reshape(-1, n_assets) @ chol.T).reshape(z.shape)
-    increments *= scale
-    increments += drift
-    values = model.spot[None, None, :] * np.exp(np.cumsum(increments, axis=1))
+    # one (N * I, J) @ (J, J) product, then every step in place, so at most
+    # two path-sized arrays are alive at once
+    values = (z.reshape(-1, n_assets) @ chol.T).reshape(z.shape)
+    del z
+    values *= scale
+    values += drift
+    np.cumsum(values, axis=1, out=values)
+    np.exp(values, out=values)
+    values *= model.spot
     return PathSet(
         values=values,
         times=schedule.times,
         rate=model.rate,
         seed=int(seed),
         antithetic=antithetic,
-        pool_offset=0,
+        pool_offset=offset,
     )
 
 
@@ -259,50 +266,3 @@ def split_pool(pool: PathSet, n_sets: int) -> list[PathSet]:
         for k in range(n_sets)
     ]
 
-
-def dump_paths(paths: PathSet, filename: str) -> None:
-    """Write a PathSet to disk.
-
-    Layout (little-endian): int64 n_paths, int64 n_dates, int64 n_assets,
-    uint64 seed, int64 antithetic flag (0/1), then n_paths * n_dates * n_assets
-    float64 values in row-major (path, date, asset) order.  Schedule times and
-    rate are not stored; the loader takes them as arguments.
-    """
-    with open(filename, "wb") as f:
-        f.write(
-            _DUMP_HEADER.pack(
-                paths.n_paths,
-                paths.n_dates,
-                paths.n_assets,
-                paths.seed & 0xFFFFFFFFFFFFFFFF,
-                int(paths.antithetic),
-            )
-        )
-        f.write(np.ascontiguousarray(paths.values, dtype="<f8").tobytes())
-
-
-def load_paths(filename: str, times: np.ndarray, rate: float) -> PathSet:
-    """Read a PathSet written by dump_paths; times/rate must match the generating run."""
-    with open(filename, "rb") as f:
-        header = f.read(_DUMP_HEADER.size)
-        if len(header) < _DUMP_HEADER.size:
-            raise ValueError(
-                f"{filename!r} holds {len(header)} bytes, too few for the"
-                f" {_DUMP_HEADER.size}-byte path dump header"
-            )
-        n_paths, n_dates, n_assets, seed, anti = _DUMP_HEADER.unpack(header)
-        raw = np.frombuffer(f.read(), dtype="<f8")
-    expected = n_paths * n_dates * n_assets
-    if raw.size != expected:
-        raise ValueError(f"path dump has {raw.size} values, header promises {expected}")
-    times = np.asarray(times, dtype=float)
-    if times.shape != (n_dates,):
-        raise ValueError(f"schedule has {times.shape[0]} dates, dump has {n_dates}")
-    return PathSet(
-        values=raw.reshape(n_paths, n_dates, n_assets).copy(),
-        times=times,
-        rate=float(rate),
-        seed=int(seed),
-        antithetic=bool(anti),
-        pool_offset=0,
-    )

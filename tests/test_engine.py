@@ -28,7 +28,6 @@ from lsmc.engine import (
     apply_control_variate,
     continue_mask,
     european_mc_price,
-    lookahead_bias,
     price_backward,
     price_backward_stack,
     price_two_pass,
@@ -110,9 +109,9 @@ class TestToyCrossSection:
 
     def test_price_gap_is_the_flip_payload(self):
         lsm, loo, _ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
-        stats = lookahead_bias(lsm, loo)
-        assert stats.per_path == pytest.approx([4.0, 4.0, 0.0], abs=1e-12)
-        assert stats.mean == pytest.approx(8.0 / 3.0, abs=1e-12)
+        gap = lsm.per_path_value - loo.per_path_value
+        assert gap == pytest.approx([4.0, 4.0, 0.0], abs=1e-12)
+        assert lsm.price - loo.price == pytest.approx(8.0 / 3.0, abs=1e-12)
 
 
 class TestEstimatorIdentities:
@@ -294,12 +293,11 @@ class TestControlVariateAndBias:
         paths = desk_paths()
         euro = european_mc_price(paths, PUT_PAYOFF)
         lsm, loo, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
-        raw = lookahead_bias(lsm, loo)
-        adjusted = lookahead_bias(
-            apply_control_variate(lsm, 6.33, euro), apply_control_variate(loo, 6.33, euro)
-        )
-        assert adjusted.mean == pytest.approx(raw.mean, abs=1e-12)
-        np.testing.assert_allclose(adjusted.per_path, raw.per_path, atol=1e-12)
+        raw = lsm.per_path_value - loo.per_path_value
+        lsm_cv, loo_cv = (apply_control_variate(r, 6.33, euro) for r in (lsm, loo))
+        adjusted = lsm_cv.per_path_value - loo_cv.per_path_value
+        assert adjusted.mean() == pytest.approx(raw.mean(), abs=1e-12)
+        np.testing.assert_allclose(adjusted, raw, atol=1e-12)
 
     def test_mode_and_diagnostics_survive_adjustment(self):
         paths = desk_paths()
@@ -316,17 +314,13 @@ class TestControlVariateAndBias:
         result, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
         with pytest.raises(ValueError, match="same path set"):
             apply_control_variate(result, 6.33, euro_other)
-        _, loo_other, _ = price_backward(other, PUT_PAYOFF, PUT_BASIS)
-        with pytest.raises(ValueError, match="same path set"):
-            lookahead_bias(result, loo_other)
 
     def test_identical_runs_have_zero_bias(self):
         paths = desk_paths()
         a, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
         b, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
-        stats = lookahead_bias(a, b)
-        assert stats.mean == 0.0
-        assert (stats.per_path == 0.0).all()
+        assert a.price - b.price == 0.0
+        assert (a.per_path_value - b.per_path_value == 0.0).all()
 
 
 class TestStandardErrors:

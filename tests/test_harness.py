@@ -1,11 +1,14 @@
 """Experiment orchestration: seeding, statistics, CSV round trips, CLI."""
 
 import contextlib
+import csv
 import dataclasses
+import hashlib
 import io
 import math
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,6 @@ from lsmc.harness import (
     fit_bias_slope,
     load_config_file,
     parse_config_text,
-    read_csv,
     run_experiment1,
     run_experiment2,
 )
@@ -123,6 +125,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="estimators"):
             tiny_exp1(estimators=("LSM", "MLMC"))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["keys", "spot", "strike", "rate", "dividend", "vol", "correlation", "maturity"]
+    )
+    def test_non_finite_floats_name_their_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            tiny_exp1(**{name: (100.0, value) if name == "keys" else value})
+
 
 class TestCsv:
     def test_empty_report_is_header_only(self, tmp_path):
@@ -139,10 +149,11 @@ class TestCsv:
         )
         target = tmp_path / "round.csv"
         emit_csv(ExperimentReport(rows=[row]), str(target))
-        (rec,) = read_csv(str(target))
-        assert rec["mean_offset"] == float(f"{row.mean_offset:.10g}")
-        assert math.isnan(rec["mean_bias"])
-        assert rec["flips_total"] == 42
+        with open(target, encoding="utf-8") as f:
+            (rec,) = csv.DictReader(f)
+        assert float(rec["mean_offset"]) == float(f"{row.mean_offset:.10g}")
+        assert rec["mean_bias"] == ""  # NaN is written as an empty field
+        assert rec["flips_total"] == "42"
         assert rec["estimator"] == "LSM"
 
     def test_unwritable_path_reports_the_path(self, tmp_path):
@@ -232,15 +243,39 @@ class TestExperiment2:
         assert report.meta["pool_shared_across_m"] == "true"
         assert report.meta["pool_size"] == "6000"
 
+    # sha256 of run_experiment2(tiny_exp2(n_mc_list=...)).fingerprint() as the
+    # whole-pool pricing computed it, before the pool was priced chunk by chunk
+    WHOLE_POOL_DIGESTS = {
+        (3, 6): "b62eabcd759cb6e1796c6a6004891eacbeac00f7ee035c761655d0cee93eed6a",
+        (2, 3): "db502ec35c7409a6e221bbbf6dfaeed83c572681b454bdac90d0d82c7cf5b4ac",
+    }
+
     def test_reproducible_across_threads(self, monkeypatch):
-        # smaller blocks split each cell's 2000- and 1000-path sets into
-        # different stacks, which the fingerprint must not see
-        reference = run_experiment2(tiny_exp2()).fingerprint()
-        for block_rows in (harness.BLOCK_ROWS, 2500, 1000):
-            monkeypatch.setattr(harness, "BLOCK_ROWS", block_rows)
-            for threads in (1, 2, 3):
-                report = run_experiment2(tiny_exp2(threads=threads))
-                assert report.fingerprint() == reference, (block_rows, threads)
+        # (3, 6) prices 3 chunks of 2000 paths and (2, 3) one chunk of 6000;
+        # smaller blocks split each cell's sets into different stacks, which
+        # the fingerprint must not see
+        for n_mc_list, digest in self.WHOLE_POOL_DIGESTS.items():
+            for block_rows in (harness.BLOCK_ROWS, 2500, 1000):
+                monkeypatch.setattr(harness, "BLOCK_ROWS", block_rows)
+                for threads in (1, 2, 3):
+                    report = run_experiment2(tiny_exp2(n_mc_list=n_mc_list, threads=threads))
+                    got = hashlib.sha256(report.fingerprint()).hexdigest()
+                    assert got == digest, (n_mc_list, block_rows, threads)
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # 10 chunks of 4,800 paths: nothing close to the whole pool is held
+        config = dataclasses.replace(
+            default_config("basket_call", 2, "desk"),
+            pool_size=48_000, n_mc_list=(10, 40), m_list=(6, 16), threads=1,
+        )
+        pool_bytes = config.pool_size * config.n_dates * config.n_assets * 8
+        tracemalloc.start()
+        try:
+            run_experiment2(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pool_bytes, peak / pool_bytes
 
     def test_scaled_down_basket_grid_bias_structure(self):
         # 14,400-path pool, 9 (M, N) cells: bias is positive everywhere and
@@ -286,9 +321,10 @@ class TestCli:
         code = main(["experiment1", "--case", "put_single", "--config", str(cfg),
                      "--out", str(out)])
         assert code == 0
-        records = read_csv(str(out))
+        with open(out, encoding="utf-8") as f:
+            records = list(csv.DictReader(f))
         assert len(records) == 4
-        assert all(rec["N"] == 400 for rec in records)
+        assert all(rec["N"] == "400" for rec in records)
 
     def test_experiment2_prints_slope(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -317,11 +353,20 @@ class TestCli:
                 "pool_size = 4000\nn_mc_list = 2, 4\nm_list = 2, 4",
             ),
             ("experiment1 --case put_single", "keys = 100, 95\nn_paths = 400\nn_mc = 2"),
+            ("experiment1 --case basket_call", "spot = nan"),
+            ("experiment1 --case basket_call", "strike = inf"),
+            ("experiment1 --case basket_call", "rate = -inf"),
+            ("experiment1 --case basket_call", "dividend = nan"),
+            ("experiment1 --case basket_call", "vol = inf"),
+            ("experiment1 --case basket_call", "correlation = nan"),
+            ("experiment1 --case basket_call", "maturity = inf"),
+            ("experiment2 --case put_single", "keys = nan"),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
              "odd_antithetic_sets", "repeated_split", "missing_config_file", "not_utf8",
-             "out_dir_missing", "off_grid_key"],
+             "out_dir_missing", "off_grid_key", "nan_spot", "inf_strike", "minus_inf_rate",
+             "nan_dividend", "inf_vol", "nan_correlation", "inf_maturity", "nan_key"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):
@@ -356,8 +401,9 @@ def _entries(draw, values):
 
 @st.composite
 def experiment2_config_files(draw):
-    """Tiny experiment-2 config files; some carry one bad field, and some split
-    the pool into sets that do not divide it or break its antithetic pairs."""
+    """Tiny experiment-2 config files; some carry one bad field or one nan or
+    infinite float, and some split the pool into sets that do not divide it
+    or break its antithetic pairs.  Also says whether a float is not finite."""
     case = draw(st.sampled_from(["put_single", "basket_call"]))
     sizes = [2, 4, 5] if case == "put_single" else [6, 10, 16]
     lines = {
@@ -374,7 +420,12 @@ def experiment2_config_files(draw):
     field = draw(st.sampled_from([None, *bad]))
     if field is not None:
         lines[field] = bad[field]
-    return case, "".join(f"{key} = {value}\n" for key, value in lines.items())
+    floats = ["keys", "spot", "strike", "rate", "dividend", "vol", "correlation", "maturity"]
+    non_finite = draw(st.sampled_from([None] * 4 + floats))
+    if non_finite is not None:
+        lines[non_finite] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    text = "".join(f"{key} = {value}\n" for key, value in lines.items())
+    return case, text, non_finite is not None
 
 
 @settings(max_examples=100, deadline=None)
@@ -382,7 +433,7 @@ def experiment2_config_files(draw):
 def test_config_files_run_or_exit_2(drawn):
     # any config file either runs or is refused with one error line; a
     # traceback would escape main() and fail the example
-    case, text = drawn
+    case, text, non_finite = drawn
     fd, path = tempfile.mkstemp(suffix=".cfg")
     try:
         with os.fdopen(fd, "w") as f:
@@ -393,6 +444,7 @@ def test_config_files_run_or_exit_2(drawn):
     finally:
         os.remove(path)
     assert code in (0, 2), err.getvalue()
+    assert code == 2 or not non_finite
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:

@@ -1,4 +1,4 @@
-"""Path simulation: correlation factors, exactness, determinism, pooling, I/O."""
+"""Path simulation: correlation factors, exactness, determinism, pooling, chunking."""
 
 import hashlib
 
@@ -9,9 +9,7 @@ from lsmc.market import (
     ExerciseSchedule,
     GbmModel,
     correlation_factor,
-    dump_paths,
     generate_paths,
-    load_paths,
     split_pool,
     uniform_schedule,
 )
@@ -173,28 +171,6 @@ class TestSplitPool:
         assert a.provenance != b.provenance
 
 
-def test_dump_load_round_trip(tmp_path):
-    paths = generate_paths(BESTOF_MODEL, uniform_schedule(9, 3.0), 32, seed=123)
-    target = tmp_path / "pool.bin"
-    dump_paths(paths, str(target))
-    loaded = load_paths(str(target), paths.times, paths.rate)
-    np.testing.assert_array_equal(loaded.values, paths.values)
-    assert loaded.seed == paths.seed
-    assert loaded.antithetic == paths.antithetic
-    assert loaded.provenance == paths.provenance
-
-    with pytest.raises(ValueError, match="dates"):
-        load_paths(str(target), paths.times[:-1], paths.rate)
-
-
-@pytest.mark.parametrize("size", [0, 2])
-def test_load_rejects_a_short_header(tmp_path, size):
-    target = tmp_path / "short.bin"
-    target.write_bytes(b"\x01" * size)
-    with pytest.raises(ValueError, match=rf"short\.bin' holds {size} bytes"):
-        load_paths(str(target), uniform_schedule(5, 1.0).times, 0.05)
-
-
 # sha256 of generate_paths(model, schedule, 64, seed=12345, antithetic).values,
 # recorded before the correlation product became one flattened matrix product;
 # any change to the arithmetic of path generation moves these digests.
@@ -218,3 +194,33 @@ def test_path_bits_are_pinned(family, antithetic):
     paths = generate_paths(model, uniform_schedule(n_dates, maturity), 64, 12345, antithetic)
     digest = hashlib.sha256(paths.values.tobytes()).hexdigest()
     assert digest == PATH_DIGESTS[family, antithetic]
+
+
+FAMILIES = {
+    "put": (PUT_MODEL, uniform_schedule(5, 1.0)),
+    "bestof": (BESTOF_MODEL, uniform_schedule(9, 3.0)),
+    "basket": (BASKET_MODEL, uniform_schedule(10, 5.0)),
+}
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_chunks_are_slices_of_the_pool(family, antithetic):
+    # a pool generated chunk by chunk is the pool, bit for bit, whichever
+    # rows a chunk starts at: first, mid-pool off any chunk grid, or last
+    model, schedule = FAMILIES[family]
+    pool = generate_paths(model, schedule, 1000, 77, antithetic)
+    for offset in (0, 398, 800):
+        chunk = generate_paths(model, schedule, 200, 77, antithetic, offset=offset)
+        assert chunk.values.tobytes() == pool.values[offset : offset + 200].tobytes()
+        assert chunk.pool_offset == offset
+    chunks = [
+        generate_paths(model, schedule, 200, 77, antithetic, offset=o) for o in range(0, 1000, 200)
+    ]
+    assert [c.provenance for c in chunks] == [b.provenance for b in split_pool(pool, 5)]
+
+
+@pytest.mark.parametrize("offset", [-2, 3])
+def test_antithetic_chunk_must_start_on_a_pair(offset):
+    with pytest.raises(ValueError, match="offset"):
+        generate_paths(PUT_MODEL, PUT_SCHEDULE, 64, 1, antithetic=True, offset=offset)
