@@ -27,9 +27,7 @@ from .engine import (
     PricingResult,
     apply_control_variate,
     continue_mask,
-    european_mc_price,
     price_backward,
-    price_two_pass,
 )
 from .errors import ConfigError, NumericalError
 from .harness import (

@@ -13,18 +13,9 @@ import sys
 from dataclasses import replace
 
 from . import harness
-from .contracts import PAYOFF_KINDS, basis_family
-from .engine import (
-    MODE_EUROPEAN,
-    MODE_LOOLSM,
-    MODE_LSM,
-    MODE_LSM2,
-    european_mc_price,
-    price_backward,
-    price_two_pass,
-)
+from .contracts import PAYOFF_KINDS
+from .engine import MODE_EUROPEAN, MODE_LOOLSM, MODE_LSM, MODE_LSM2
 from .errors import ConfigError, NumericalError
-from .market import generate_paths
 from .oracles import reference_price
 
 
@@ -62,7 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_price(args: argparse.Namespace) -> int:
     config = harness.default_config(args.case, experiment=1, scale="paper")
-    overrides: dict = {"n_paths": args.paths, "base_seed": args.seed}
+    # the policy pass runs only when LSM2 is asked for
+    estimators = (MODE_LSM2,) if args.mode == MODE_LSM2 else (MODE_LSM, MODE_LOOLSM)
+    overrides: dict = {"n_paths": args.paths, "base_seed": args.seed, "estimators": estimators}
     if args.no_antithetic:
         overrides["antithetic"] = False
     if args.basis_m is not None:
@@ -80,26 +73,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
     config = replace(config, **overrides)
 
     key = config.keys[0]
-    model = config.model_for_key(key)
-    payoff = config.payoff_for_key(key)
-    schedule = config.schedule()
-    basis = basis_family(config.case, config.basis_m)
-    paths = generate_paths(
-        model, schedule, config.n_paths,
-        harness.derive_seed(config.base_seed, config.case, 0), config.antithetic,
-    )
-    if args.mode == MODE_EUROPEAN:
-        result = european_mc_price(paths, payoff)
-    elif args.mode == MODE_LSM2:
-        policy_paths = generate_paths(
-            model, schedule, config.n_paths,
-            harness.derive_seed(config.base_seed, config.case, 0, "policy"), config.antithetic,
-        )
-        result = price_two_pass(policy_paths, paths, payoff, basis)
-    else:
-        lsm, loo, _ = price_backward(paths, payoff, basis)
-        result = lsm if args.mode == MODE_LSM else loo
-
+    result = harness.price_set(config, key, 0)[args.mode]
     print(f"case        {config.case} (key {key:g})")
     print(f"mode        {result.mode}")
     print(f"price       {result.price:.6f}")

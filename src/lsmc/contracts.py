@@ -167,11 +167,6 @@ def basis_family(case: str, m: int) -> BasisSpec:
     raise ValueError(f"unknown payoff kind {case!r}; expected one of {PAYOFF_KINDS}")
 
 
-def basis_row(spec: BasisSpec, state: np.ndarray, z: float) -> np.ndarray:
-    """Evaluate the basis terms at one state; z is the discounted payout there."""
-    return design_matrix(spec, np.asarray(state, dtype=float)[None, :], np.array([z]))[0]
-
-
 def _power(s: np.ndarray, e: int, out: np.ndarray) -> np.ndarray:
     """s ** e written into out, bit for bit: numpy squares by a product and
     takes higher powers from pow."""

@@ -7,12 +7,16 @@ maturity is forced and exercise at time 0 is forbidden.  The leave-one-out
 estimator differs from the classical one only in which prediction enters the
 exercise decision, so one backward pass carries both: each date's design
 matrix is factorized once and both value vectors are projected through it.
+Given an exercise policy fitted on other paths, the same pass also values the
+two-pass estimator on that design matrix, and the maturity payout it starts
+from is the European Monte Carlo result.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,10 +56,26 @@ class PricingResult:
 
 @dataclass(frozen=True, eq=False)
 class ExercisePolicy:
-    """Regression coefficients per exercise date t_1 .. t_{I-1}, plus their basis."""
+    """Regression coefficients per exercise date t_1 .. t_{I-1}, their basis,
+    and the numerical rank of the fit behind each date's coefficients."""
 
     coefficients: tuple[np.ndarray, ...]
     basis: BasisSpec
+    ranks: tuple[int, ...]
+
+
+class BackwardPrices(NamedTuple):
+    """What one backward pass gives for one path set.
+
+    lsm2 is the two-pass result when the pass was given a policy fitted on
+    other paths, else None; european is the mean discounted maturity payout.
+    """
+
+    lsm: PricingResult
+    loo: PricingResult
+    policy: ExercisePolicy
+    european: PricingResult
+    lsm2: PricingResult | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +118,7 @@ def _std_error(per_path: np.ndarray, antithetic: bool) -> float:
     """Standard error of the mean; antithetic pairs are dependent, so the
     estimate is taken over the N/2 pair averages."""
     if antithetic:
-        pairs = per_path.reshape(-1, 2).mean(axis=1)
-        n = pairs.shape[0]
-        return float(pairs.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+        per_path = per_path.reshape(-1, 2).mean(axis=1)
     n = per_path.shape[0]
     return float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
 
@@ -127,18 +145,24 @@ def price_backward(
     payoff: PayoffSpec,
     basis: BasisSpec,
     trace: list[DateTrace] | None = None,
-) -> tuple[PricingResult, PricingResult, ExercisePolicy]:
+    policy: ExercisePolicy | None = None,
+) -> BackwardPrices:
     """Backward-induction prices under the classical and leave-one-out estimators.
 
     Starting from the maturity payout, each earlier exercise date regresses
     both path value vectors on the basis over all paths, with one
     factorization of the design matrix, and replaces each value with the
     payout wherever its decision prediction falls below it: the fitted value
-    for MODE_LSM, its leave-one-out correction for MODE_LOOLSM.  Returns the
-    classical result, the leave-one-out result and the classical exercise
-    policy.  This is the one-set case of price_backward_stack.
+    for MODE_LSM, its leave-one-out correction for MODE_LOOLSM.  Returns both
+    results, the classical exercise policy and the European result.
+
+    Given a policy fitted on other paths, a third value vector follows its
+    decisions on the same design matrices, with no regression: the two-pass
+    estimator MODE_LSM2, whose decisions are independent of the valued
+    payoffs.  It reports the policy's ranks and no flips.  This is the
+    one-set case of price_backward_stack.
     """
-    return price_backward_stack(paths, 1, payoff, basis, trace)[0]
+    return price_backward_stack(paths, 1, payoff, basis, trace, policy)[0]
 
 
 def price_backward_stack(
@@ -147,7 +171,8 @@ def price_backward_stack(
     payoff: PayoffSpec,
     basis: BasisSpec,
     trace: list[DateTrace] | None = None,
-) -> list[tuple[PricingResult, PricingResult, ExercisePolicy]]:
+    policy: ExercisePolicy | None = None,
+) -> list[BackwardPrices]:
     """price_backward for each of the n_sets sets split_pool(paths, n_sets) gives.
 
     The sets are priced together as one (n_sets, N) stack: each date builds
@@ -155,10 +180,17 @@ def price_backward_stack(
     number of numpy calls does not grow with n_sets and the heavy ones run
     without the interpreter lock.  Each set's results are bit-identical to
     pricing it alone.  The trace, when given, receives one entry per set and
-    date, sets in order within each date.
+    date, sets in order within each date.  A policy, when given, is applied
+    to every set.
     """
     if basis.case != payoff.kind:
         raise ValueError(f"basis built for {basis.case!r}, payoff is {payoff.kind!r}")
+    fitted_for = (paths.n_dates - 1, basis.terms)
+    if policy is not None and (len(policy.coefficients), policy.basis.terms) != fitted_for:
+        raise ValueError(
+            f"a policy for {len(policy.coefficients)} date(s) on basis {policy.basis.labels}"
+            f" cannot value {fitted_for[0]} date(s) on basis {basis.labels}"
+        )
     sets = split_pool(paths, n_sets)
     n = sets[0].n_paths
     if n <= basis.m:
@@ -169,7 +201,7 @@ def price_backward_stack(
         )
 
     z = payout_matrix(paths, payoff).reshape(n_sets, n, paths.n_dates)
-    stack = BackwardStack(z[..., -1], paths.n_dates, basis.m)
+    stack = BackwardStack(z[..., -1], paths.n_dates, basis.m, policy)
     for i in range(paths.n_dates - 2, -1, -1):
         x = design_matrix(basis, paths.values[:, i, :], z[..., i].reshape(-1))
         stack.step(i, z[..., i], x.reshape(n_sets, n, basis.m), trace)
@@ -181,12 +213,21 @@ class BackwardStack:
 
     It starts from the sets' (n_sets, n) maturity payouts.  Each step
     regresses one earlier date, latest first, for every set at once, and
-    results reads off both estimators once date 0 is done.  Column 0 of
-    value follows the classical decisions, column 1 the leave-one-out ones.
+    results reads off the estimators once date 0 is done.  Column 0 of
+    value follows the classical decisions, column 1 the leave-one-out ones,
+    and held, kept only when a policy is given, the policy's.
     """
 
-    def __init__(self, maturity_payout: np.ndarray, n_dates: int, m: int) -> None:
+    def __init__(
+        self,
+        maturity_payout: np.ndarray,
+        n_dates: int,
+        m: int,
+        policy: ExercisePolicy | None = None,
+    ) -> None:
         n_sets, n = maturity_payout.shape
+        # a contiguous copy: the mean of a strided column can differ in the last bit
+        self.european = np.ascontiguousarray(maturity_payout)
         # each column is stored contiguously, so every elementwise step
         # runs over whole rows of N paths instead of an innermost axis of 2
         self.value = np.empty((n_sets, 2, n)).transpose(0, 2, 1)
@@ -196,6 +237,9 @@ class BackwardStack:
         self.ranks = np.zeros((n_sets, n_dates - 1), dtype=int)
         self.flips = np.zeros((n_sets, 2, n_dates - 1), dtype=int)
         self.fallbacks = np.zeros(n_sets, dtype=int)
+        self.policy = policy
+        if policy is not None:
+            self.held = self.european.copy()
 
     def step(
         self, i: int, zi: np.ndarray, x: np.ndarray, trace: list[DateTrace] | None = None
@@ -227,66 +271,32 @@ class BackwardStack:
         self.keep[..., 0] = keep_full[..., 0]
         self.keep[..., 1] = keep_loo[..., 1]
         np.copyto(value, zi[..., None], where=~self.keep)
+        if self.policy is not None:
+            c = x @ self.policy.coefficients[i]
+            np.copyto(self.held, zi, where=~continue_mask(zi, c))
         self.betas[:, i] = fit.beta[..., 0]
         self.ranks[:, i] = fit.rank
 
-    def results(
-        self, sets: list[PathSet], basis: BasisSpec
-    ) -> list[tuple[PricingResult, PricingResult, ExercisePolicy]]:
-        """Classical result, leave-one-out result and classical policy of each set."""
+    def results(self, sets: list[PathSet], basis: BasisSpec) -> list[BackwardPrices]:
+        """Every estimator's result and the classical policy of each set."""
         priced = []
         for k, paths_k in enumerate(sets):
             lsm_value, loo_value = self.value[k].T.copy()
             ranks, fallbacks, flips = self.ranks[k], self.fallbacks[k], self.flips[k]
-            priced.append((
-                pricing_result(lsm_value, MODE_LSM, paths_k, ranks, fallbacks, flips[0]),
-                pricing_result(loo_value, MODE_LOOLSM, paths_k, ranks, fallbacks, flips[1]),
-                ExercisePolicy(coefficients=tuple(self.betas[k]), basis=basis),
+            lsm2 = None
+            if self.policy is not None:
+                held_ranks = self.policy.ranks
+                lsm2 = pricing_result(
+                    self.held[k], MODE_LSM2, paths_k, held_ranks, flips=[0] * len(held_ranks)
+                )
+            priced.append(BackwardPrices(
+                lsm=pricing_result(lsm_value, MODE_LSM, paths_k, ranks, fallbacks, flips[0]),
+                loo=pricing_result(loo_value, MODE_LOOLSM, paths_k, ranks, fallbacks, flips[1]),
+                policy=ExercisePolicy(tuple(self.betas[k]), basis, tuple(int(r) for r in ranks)),
+                european=pricing_result(self.european[k], MODE_EUROPEAN, paths_k),
+                lsm2=lsm2,
             ))
         return priced
-
-
-def price_two_pass(
-    policy_paths: PathSet,
-    valuation_paths: PathSet,
-    payoff: PayoffSpec,
-    basis: BasisSpec,
-) -> PricingResult:
-    """Two-pass estimate: fit the policy on one path set, value it on another.
-
-    The exercise policy comes from the classical estimator of a backward pass
-    on policy_paths; its per-date coefficients are then applied to
-    valuation_paths, so the decision is independent of the valued payoffs
-    whenever the two sets are disjoint.  Sharing one set is tolerated (it
-    degenerates to the classical estimator) but defeats the purpose.
-    """
-    if policy_paths.n_dates != valuation_paths.n_dates or not np.array_equal(
-        policy_paths.times, valuation_paths.times
-    ):
-        raise ValueError("policy and valuation path sets must share the exercise schedule")
-    if policy_paths.rate != valuation_paths.rate:
-        raise ValueError("policy and valuation path sets must share the discount rate")
-
-    policy_result, _, policy = price_backward(policy_paths, payoff, basis)
-    z = payout_matrix(valuation_paths, payoff)
-    value = z[:, -1].copy()
-    for i in range(valuation_paths.n_dates - 2, -1, -1):
-        zi = z[:, i]
-        x = design_matrix(basis, valuation_paths.values[:, i, :], zi)
-        c = x @ policy.coefficients[i]
-        keep = continue_mask(zi, c)
-        value = np.where(keep, value, zi)
-
-    ranks = policy_result.ranks
-    return pricing_result(value, MODE_LSM2, valuation_paths, ranks, flips=[0] * len(ranks))
-
-
-def european_mc_price(paths: PathSet, payoff: PayoffSpec) -> PricingResult:
-    """Monte Carlo price of the European contract: mean discounted maturity payout."""
-    zt = discounted_payout(
-        payoff, paths.values[:, -1, :], float(paths.times[-1]), paths.rate
-    )
-    return pricing_result(np.asarray(zt), MODE_EUROPEAN, paths)
 
 
 def apply_control_variate(

@@ -19,7 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -43,17 +43,15 @@ from .engine import (
     BackwardStack,
     PricingResult,
     apply_control_variate,
-    european_mc_price,
     payout_matrix,
     price_backward,
-    price_two_pass,
-    pricing_result,
 )
 from .errors import ConfigError
 from .market import GbmModel, correlation_factor, generate_paths, split_pool, uniform_schedule
 from .oracles import bestof2_european_call, bs_european_put, reference_price
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_LOG_SQRT_MAX = math.log(np.finfo(float).max) / 2
 
 # Rows per stacked backward pass in experiment 2.  On 2 cores with BLAS
 # pinned to 1 thread, 16,384-row blocks priced the basket desk config faster
@@ -211,6 +209,16 @@ class ExperimentConfig:
                 basis_family(self.case, m)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # the discount factor and the forward growth over the maturity scale
+        # the prices, and the regression's column norms and the standard
+        # errors square them
+        discount, growth = -self.rate * self.maturity, (self.rate - self.dividend) * self.maturity
+        if not max(abs(discount), abs(growth)) < _LOG_SQRT_MAX:
+            raise ConfigError(
+                f"rate {self.rate} and dividend {self.dividend} give a discount factor of"
+                f" exp({discount:.6g}) and a forward growth of exp({growth:.6g}) over maturity"
+                f" {self.maturity}; both squares must be finite positive floats"
+            )
 
     @property
     def n_assets(self) -> int:
@@ -376,30 +384,12 @@ def _fmt(value) -> str:
 
 
 def csv_text(report: ExperimentReport, zero_wall: bool = False) -> str:
+    """CSV_COLUMNS, then each row's ReportRow fields, in order."""
     lines = [CSV_COLUMNS]
     for row in report.rows:
-        wall = 0.0 if zero_wall else row.wall_ms
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.case,
-                    row.key,
-                    row.estimator,
-                    row.m,
-                    row.n_paths,
-                    row.n_mc,
-                    row.mean_offset,
-                    row.std,
-                    row.se_mean,
-                    row.mean_bias,
-                    row.bias_se,
-                    row.flips_total,
-                    row.min_rank,
-                    wall,
-                )
-            )
-        )
+        if zero_wall:
+            row = replace(row, wall_ms=0.0)
+        lines.append(",".join(_fmt(v) for v in astuple(row)))
     return "\n".join(lines) + "\n"
 
 
@@ -490,20 +480,54 @@ def _report_row(
     )
 
 
+def price_set(config: ExperimentConfig, key: float, k: int) -> dict[str, PricingResult]:
+    """Simulation set k of a grid key, priced by every experiment-1 estimator.
+
+    With LSM2 among the estimators, a backward pass on the set's own policy
+    paths fits the exercise policy first.  One backward pass on the
+    valuation paths then gives LSM, LOOLSM, the European result and, under
+    that policy, LSM2, so every estimator values the same paths.  The
+    optional control variate shifts every Bermudan result by the European
+    pricing error of the set.  Returns the results keyed by mode.
+    """
+    model = config.model_for_key(key)
+    payoff = config.payoff_for_key(key)
+    schedule = config.schedule()
+    basis = basis_family(config.case, config.basis_m)
+
+    def paths(*tag):
+        seed = derive_seed(config.base_seed, config.case, k, *tag)
+        return generate_paths(model, schedule, config.n_paths, seed, config.antithetic)
+
+    policy = None
+    if MODE_LSM2 in config.estimators:
+        policy = price_backward(paths("policy"), payoff, basis).policy
+    priced = price_backward(paths(), payoff, basis, policy=policy)
+    results = {MODE_LSM: priced.lsm, MODE_LOOLSM: priced.loo}
+    if policy is not None:
+        results[MODE_LSM2] = priced.lsm2
+    if config.control_variate:
+        exact_euro = _references(config, key)[1]
+        results = {
+            mode: apply_control_variate(result, exact_euro, priced.european)
+            for mode, result in results.items()
+        }
+    results[MODE_EUROPEAN] = priced.european
+    return results
+
+
 def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
     """Estimator comparison on n_mc independent simulation sets per grid key.
 
-    All requested estimators value the same paths within a set (the two-pass
-    estimator fits its policy on an extra, disjoint set), so per-set price
-    differences isolate the exercise decision.  LSM and LOOLSM come from one
-    backward pass, and each reports an equal share of its wall time.  The
-    optional control variate shifts every Bermudan estimate by the European
-    pricing error of the set; it changes no expectation and cancels exactly
-    in the difference columns.
+    Each set is priced by price_set: all requested estimators value the same
+    paths (the two-pass estimator fits its policy on an extra, disjoint set),
+    so per-set price differences isolate the exercise decision.  A set's
+    pricing time, path generation included, is shared equally by the
+    requested estimators; the European row, read off the same pass, reports
+    0.  The optional control variate changes no expectation and cancels
+    exactly in the difference columns.
     """
-    schedule = config.schedule()
     basis = basis_family(config.case, config.basis_m)
-    backward = [e for e in config.estimators if e in (MODE_LSM, MODE_LOOLSM)]
     report = ExperimentReport(
         meta={
             "experiment": "1",
@@ -515,40 +539,15 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
     )
 
     # every key is looked up first, so an off-grid key fails before any path is generated
-    references = {key: _references(config, key) for key in config.keys}
+    references = {key: _references(config, key)[0] for key in config.keys}
     for key in config.keys:
-        model = config.model_for_key(key)
-        payoff = config.payoff_for_key(key)
-        ref, exact_euro = references[key]
 
-        def run_set(k: int, _model=model, _payoff=payoff, _exact=exact_euro):
-            paths = generate_paths(
-                _model, schedule, config.n_paths, derive_seed(config.base_seed, config.case, k),
-                config.antithetic,
-            )
+        def run_set(k: int, _key=key) -> dict:
             t0 = time.perf_counter()
-            euro = european_mc_price(paths, _payoff)
-            cell = {MODE_EUROPEAN: _cell(euro, (time.perf_counter() - t0) * 1e3)}
-
-            def adjusted(result: PricingResult) -> PricingResult:
-                if config.control_variate:
-                    return apply_control_variate(result, _exact, euro)
-                return result
-
-            if backward:
-                t0 = time.perf_counter()
-                lsm, loo, _ = price_backward(paths, _payoff, basis)
-                results = {MODE_LSM: adjusted(lsm), MODE_LOOLSM: adjusted(loo)}
-                share = (time.perf_counter() - t0) * 1e3 / len(backward)
-                cell.update((e, _cell(results[e], share)) for e in backward)
-            if MODE_LSM2 in config.estimators:
-                t0 = time.perf_counter()
-                policy_seed = derive_seed(config.base_seed, config.case, k, "policy")
-                policy_paths = generate_paths(
-                    _model, schedule, config.n_paths, policy_seed, config.antithetic
-                )
-                result = adjusted(price_two_pass(policy_paths, paths, _payoff, basis))
-                cell[MODE_LSM2] = _cell(result, (time.perf_counter() - t0) * 1e3)
+            results = price_set(config, _key, k)
+            share = (time.perf_counter() - t0) * 1e3 / len(config.estimators)
+            cell = {e: _cell(results[e], share) for e in config.estimators}
+            cell[MODE_EUROPEAN] = _cell(results[MODE_EUROPEAN], 0.0)
             return cell
 
         cells = _map_sets(run_set, config.n_mc, config.threads)
@@ -563,11 +562,13 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
             report.rows.append(
                 _report_row(
                     config, key, estimator, config.basis_m, config.n_paths, cells,
-                    ref.bermudan, bias,
+                    references[key].bermudan, bias,
                 )
             )
         report.rows.append(
-            _report_row(config, key, MODE_EUROPEAN, 0, config.n_paths, cells, ref.european)
+            _report_row(
+                config, key, MODE_EUROPEAN, 0, config.n_paths, cells, references[key].european
+            )
         )
     return report
 
@@ -630,11 +631,9 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
         for (cell, n, first, stop, stack), busy in zip(stacks, seconds):
             sets = split_pool(chunk, chunk_rows // n)[first:stop]
             share = busy * 1e3 / (stop - first) / 2
-            for paths, (lsm, loo, _) in zip(sets, stack.results(sets, bases[cell[0]])):
+            for lsm, loo, _, mc_euro, _ in stack.results(sets, bases[cell[0]]):
                 bias = lsm.price - loo.price
                 if config.control_variate:
-                    row = paths.pool_offset - chunk.pool_offset
-                    mc_euro = pricing_result(euro[row : row + n], MODE_EUROPEAN, paths)
                     lsm = apply_control_variate(lsm, exact_euro, mc_euro)
                     loo = apply_control_variate(loo, exact_euro, mc_euro)
                 cells[cell].append(

@@ -25,35 +25,6 @@ def _first_nonfinite(a: np.ndarray) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class DesignMatrix:
-    """N x M regressor matrix whose first column is the intercept of ones.
-
-    values[n, m] is the m-th basis function evaluated on sample n.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError(f"design matrix must be 2-d and non-empty, got shape {v.shape}")
-        if not np.isfinite(v).all():
-            i, j = _first_nonfinite(v)
-            raise ValueError(f"non-finite design entry at row {i}, column {j}")
-        if not np.array_equal(v[:, 0], np.ones(v.shape[0])):
-            raise ValueError("first design column must be identically 1")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_terms(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class RegressionFit:
     """Result of one least-squares fit, or of a stack of independent fits.
 
@@ -75,7 +46,7 @@ class RegressionFit:
     rank: int | np.ndarray
 
 
-def fit_least_squares(X: DesignMatrix | np.ndarray, y: np.ndarray) -> RegressionFit:
+def fit_least_squares(X: np.ndarray, y: np.ndarray) -> RegressionFit:
     """Least-squares fit of y (N, or N x k) on the columns of X.
 
     Singular values of the column-equilibrated matrix below
@@ -90,8 +61,6 @@ def fit_least_squares(X: DesignMatrix | np.ndarray, y: np.ndarray) -> Regression
 
     Raises ValueError on non-finite input, naming the offending entry.
     """
-    if isinstance(X, DesignMatrix):
-        X = X.values
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"design matrix must be 2-d, got shape {X.shape}")
@@ -207,9 +176,3 @@ def loo_predictions(fit: RegressionFit) -> np.ndarray:
         )
     return loo
 
-
-def loo_residuals(fit: RegressionFit) -> np.ndarray:
-    """Leave-one-out errors e' = e / (1 - h); |e'| >= |e| wherever h < 1."""
-    fallback = loo_fallback_mask(fit)
-    denom = np.where(fallback, 1.0, 1.0 - fit.leverage)
-    return np.where(fallback, fit.residuals, fit.residuals / denom)

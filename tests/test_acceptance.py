@@ -20,13 +20,7 @@ import numpy as np
 import pytest
 
 from lsmc.contracts import PUT_SINGLE, PayoffSpec, basis_family
-from lsmc.engine import (
-    MODE_LOOLSM,
-    MODE_LSM,
-    european_mc_price,
-    price_backward,
-    price_two_pass,
-)
+from lsmc.engine import MODE_LOOLSM, MODE_LSM, price_backward
 from lsmc.harness import default_config, run_experiment1, run_experiment2
 from lsmc.market import GbmModel, generate_paths, uniform_schedule
 from lsmc.oracles import (
@@ -203,7 +197,7 @@ def test_criterion_7_property_suite():
 
         # flip characterization and fitted-value decomposition, date by date
         trace = []
-        _, result, _ = price_backward(paths, payoff, basis, trace=trace)
+        _, result, *_ = price_backward(paths, payoff, basis, trace=trace)
         assert result.fallback_count == 0
         for t in trace:
             blend = (1.0 - t.leverage) * t.loo_fitted + t.leverage * t.response
@@ -221,10 +215,9 @@ def test_criterion_7_property_suite():
         p1 = generate_paths(PUT_MODEL, single, 2000, seed=11)
         p2 = generate_paths(PUT_MODEL, single, 2000, seed=12)
         b4 = basis_family(PUT_SINGLE, 4)
-        euro = european_mc_price(p1, payoff).price
-        lsm, loo, _ = price_backward(p1, payoff, b4)
-        assert lsm.price == loo.price == euro
-        assert price_two_pass(p2, p1, payoff, b4).price == euro
+        policy = price_backward(p2, payoff, b4).policy
+        lsm, loo, _, euro, two = price_backward(p1, payoff, b4, policy=policy)
+        assert lsm.price == loo.price == two.price == euro.price
 
         # the control variate cannot move the measured bias
         tiny = dataclasses.replace(

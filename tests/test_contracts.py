@@ -13,7 +13,6 @@ from lsmc.contracts import (
     PUT_SINGLE,
     PayoffSpec,
     basis_family,
-    basis_row,
     design_matrix,
     discounted_payout,
 )
@@ -119,17 +118,17 @@ class TestBasisFamilies:
 class TestBasisRows:
     def test_put_row_values(self):
         spec = basis_family(PUT_SINGLE, 5)
-        row = basis_row(spec, np.array([100.0]), z=6.0)
+        (row,) = design_matrix(spec, np.array([[100.0]]), np.array([6.0]))
         assert row == pytest.approx([1.0, 6.0, 100.0, 10_000.0, 1_000_000.0])
 
     def test_bestof_row_values(self):
         spec = basis_family(BESTOF_CALL, 7)
-        row = basis_row(spec, np.array([90.0, 110.0]), z=9.5123)
+        (row,) = design_matrix(spec, np.array([[90.0, 110.0]]), np.array([9.5123]))
         assert row == pytest.approx([1.0, 9.5123, 90.0, 110.0, 8100.0, 9900.0, 12100.0])
 
     def test_zero_payout_zeroes_only_the_payoff_entry(self):
         spec = basis_family(PUT_SINGLE, 4)
-        row = basis_row(spec, np.array([140.0]), z=0.0)
+        (row,) = design_matrix(spec, np.array([[140.0]]), np.array([0.0]))
         assert row == pytest.approx([1.0, 0.0, 140.0, 19_600.0])
 
     def test_design_matrix_stacks_rows(self):
@@ -140,7 +139,8 @@ class TestBasisRows:
         matrix = design_matrix(spec, states, z)
         assert matrix.shape == (15, 16)
         for n in (0, 7, 14):
-            assert matrix[n] == pytest.approx(basis_row(spec, states[n], z[n]))
+            (row,) = design_matrix(spec, states[n : n + 1], z[n : n + 1])
+            assert matrix[n] == pytest.approx(row)
 
 
 def per_column_design_matrix(spec, states, z):

@@ -27,10 +27,8 @@ from lsmc.engine import (
     MODE_LSM2,
     apply_control_variate,
     continue_mask,
-    european_mc_price,
     price_backward,
     price_backward_stack,
-    price_two_pass,
 )
 from lsmc.market import GbmModel, PathSet, generate_paths, split_pool, uniform_schedule
 
@@ -76,14 +74,14 @@ class TestDecideContinue:
 @pytest.mark.filterwarnings("ignore:3 paths for 3 regressors")
 class TestToyCrossSection:
     def test_classical_keeps_the_outlier_path(self):
-        result, _, policy = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
+        result, _, policy, *_ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
         assert result.per_path_value == pytest.approx([14.0, 14.0, 9.0], abs=1e-12)
         assert result.price == pytest.approx(37.0 / 3.0, abs=1e-12)
         assert result.ranks == (2,)
         assert len(policy.coefficients) == 1
 
     def test_leave_one_out_exercises_the_outlier_path(self):
-        _, result, _ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
+        _, result, *_ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
         assert result.mode == MODE_LOOLSM
         assert result.per_path_value == pytest.approx([10.0, 10.0, 9.0], abs=1e-12)
         assert result.price == pytest.approx(29.0 / 3.0, abs=1e-12)
@@ -92,7 +90,7 @@ class TestToyCrossSection:
         # decision values: C = (11, 11, 11), C' = (24, 28/3, 16) against Z = (14, 10, 8);
         # path 2 flips continue->exercise, path 1 exercise->continue, path 3 is stable
         trace = []
-        _, result, _ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS, trace=trace)
+        _, result, *_ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS, trace=trace)
         assert result.flip_counts == (2,)
         (t,) = trace
         assert t.fitted == pytest.approx([11.0, 11.0, 11.0], abs=1e-12)
@@ -108,7 +106,7 @@ class TestToyCrossSection:
         np.testing.assert_array_equal(d_minus, (gap < 0.0) & (gap >= t.leverage * premium))
 
     def test_price_gap_is_the_flip_payload(self):
-        lsm, loo, _ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
+        lsm, loo, *_ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
         gap = lsm.per_path_value - loo.per_path_value
         assert gap == pytest.approx([4.0, 4.0, 0.0], abs=1e-12)
         assert lsm.price - loo.price == pytest.approx(8.0 / 3.0, abs=1e-12)
@@ -119,30 +117,43 @@ class TestEstimatorIdentities:
         schedule = uniform_schedule(1, 1.0)
         paths = generate_paths(PUT_MODEL, schedule, 2000, seed=21)
         basis = basis_family(PUT_SINGLE, 4)
-        euro = european_mc_price(paths, PUT_PAYOFF)
-        lsm, loo, _ = price_backward(paths, PUT_PAYOFF, basis)
-        two = price_two_pass(generate_paths(PUT_MODEL, schedule, 2000, seed=22), paths,
-                             PUT_PAYOFF, basis)
+        policy = price_backward(generate_paths(PUT_MODEL, schedule, 2000, seed=22),
+                                PUT_PAYOFF, basis).policy
+        lsm, loo, _, euro, two = price_backward(paths, PUT_PAYOFF, basis, policy=policy)
         assert lsm.price == euro.price == loo.price == two.price
-        assert lsm.ranks == ()
+        assert lsm.ranks == () == two.ranks
 
     def test_two_pass_on_its_own_paths_degenerates_to_classical(self):
         paths = desk_paths()
-        lsm, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
-        two = price_two_pass(paths, paths, PUT_PAYOFF, PUT_BASIS)
+        lsm, _, policy, *_ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
+        two = price_backward(paths, PUT_PAYOFF, PUT_BASIS, policy=policy).lsm2
         assert two.price == pytest.approx(lsm.price, abs=1e-12)
         assert two.mode == MODE_LSM2
+        assert two.ranks == lsm.ranks
+        assert two.flip_counts == (0,) * len(lsm.ranks) and two.fallback_count == 0
 
     def test_two_pass_rejects_schedule_mismatch(self):
         paths = desk_paths()
         other = generate_paths(PUT_MODEL, uniform_schedule(4, 1.0), 4000, seed=1)
-        with pytest.raises(ValueError, match="schedule"):
-            price_two_pass(other, paths, PUT_PAYOFF, PUT_BASIS)
+        policy = price_backward(other, PUT_PAYOFF, PUT_BASIS).policy
+        with pytest.raises(ValueError, match="policy for 3 date"):
+            price_backward(paths, PUT_PAYOFF, PUT_BASIS, policy=policy)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [basis_family(PUT_SINGLE, 4), BasisSpec(PUT_SINGLE, 5, PUT_BASIS.terms[::-1])],
+        ids=["fewer_terms", "reordered_terms"],
+    )
+    def test_two_pass_rejects_basis_mismatch(self, basis):
+        paths = desk_paths()
+        policy = price_backward(paths, PUT_PAYOFF, basis).policy
+        with pytest.raises(ValueError, match="cannot value 4 date"):
+            price_backward(paths, PUT_PAYOFF, PUT_BASIS, policy=policy)
 
     def test_price_is_mean_of_per_path_values(self):
-        lsm, loo, _ = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS)
-        assert (lsm.mode, loo.mode) == (MODE_LSM, MODE_LOOLSM)
-        for result in (lsm, loo):
+        lsm, loo, _, euro, _ = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS)
+        assert (lsm.mode, loo.mode, euro.mode) == (MODE_LSM, MODE_LOOLSM, MODE_EUROPEAN)
+        for result in (lsm, loo, euro):
             assert result.price == result.per_path_value.mean()
 
     def test_pricing_is_deterministic(self):
@@ -162,7 +173,7 @@ class TestEstimatorIdentities:
         diffs = []
         for k in range(50):
             paths = generate_paths(PUT_MODEL, PUT_SCHEDULE, 2000, seed=9000 + k)
-            lsm, loo, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
+            lsm, loo, *_ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
             diffs.append(lsm.price - loo.price)
         diffs = np.array(diffs)
         t_stat = diffs.mean() / (diffs.std(ddof=1) / np.sqrt(diffs.size))
@@ -172,7 +183,7 @@ class TestEstimatorIdentities:
 @pytest.fixture(scope="module")
 def traced_run():
     trace = []
-    _, result, _ = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS, trace=trace)
+    _, result, *_ = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS, trace=trace)
     return result, trace
 
 
@@ -234,16 +245,18 @@ class TestStackedPass:
     @staticmethod
     def assert_stack_matches_alone(pool, n_sets, payoff, basis):
         sets = split_pool(pool, n_sets)
-        alone = [price_backward(paths, payoff, basis) for paths in sets]
+        policy = price_backward(sets[0], payoff, basis).policy  # any policy of the right shape
+        alone = [price_backward(paths, payoff, basis, policy=policy) for paths in sets]
         n = sets[0].n_paths
         for composition in TestStackedPass.COMPOSITIONS:
             for first, stop in composition:
                 block = dataclasses.replace(
                     sets[first], values=pool.values[first * n : stop * n]
                 )
-                stacked = price_backward_stack(block, stop - first, payoff, basis)
+                stacked = price_backward_stack(block, stop - first, payoff, basis, policy=policy)
                 for want, got in zip(alone[first:stop], stacked):
-                    for a, b in zip(want[:2], got[:2]):
+                    # LSM, LOOLSM, European and LSM2
+                    for a, b in zip(want[:2] + want[3:], got[:2] + got[3:]):
                         np.testing.assert_array_equal(b.per_path_value, a.per_path_value)
                         assert (b.price, b.std_error) == (a.price, a.std_error)
                         assert b.flip_counts == a.flip_counts
@@ -284,15 +297,13 @@ class TestStackedPass:
 class TestControlVariateAndBias:
     def test_exact_equals_estimate_leaves_result_unchanged(self):
         paths = desk_paths()
-        euro = european_mc_price(paths, PUT_PAYOFF)
-        result, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
+        result, _, _, euro, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
         adjusted = apply_control_variate(result, euro.price, euro)
         assert adjusted.price == pytest.approx(result.price, abs=1e-12)
 
     def test_shared_adjustment_cancels_in_the_difference(self):
         paths = desk_paths()
-        euro = european_mc_price(paths, PUT_PAYOFF)
-        lsm, loo, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
+        lsm, loo, _, euro, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
         raw = lsm.per_path_value - loo.per_path_value
         lsm_cv, loo_cv = (apply_control_variate(r, 6.33, euro) for r in (lsm, loo))
         adjusted = lsm_cv.per_path_value - loo_cv.per_path_value
@@ -301,8 +312,7 @@ class TestControlVariateAndBias:
 
     def test_mode_and_diagnostics_survive_adjustment(self):
         paths = desk_paths()
-        euro = european_mc_price(paths, PUT_PAYOFF)
-        _, result, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
+        _, result, _, euro, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
         adjusted = apply_control_variate(result, 6.33, euro)
         assert adjusted.mode == MODE_LOOLSM
         assert adjusted.ranks == result.ranks
@@ -310,15 +320,15 @@ class TestControlVariateAndBias:
 
     def test_provenance_mismatch_rejected(self):
         paths, other = desk_paths(seed=1), desk_paths(seed=2)
-        euro_other = european_mc_price(other, PUT_PAYOFF)
-        result, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
+        euro_other = price_backward(other, PUT_PAYOFF, PUT_BASIS).european
+        result = price_backward(paths, PUT_PAYOFF, PUT_BASIS).lsm
         with pytest.raises(ValueError, match="same path set"):
             apply_control_variate(result, 6.33, euro_other)
 
     def test_identical_runs_have_zero_bias(self):
         paths = desk_paths()
-        a, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
-        b, _, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
+        a = price_backward(paths, PUT_PAYOFF, PUT_BASIS).lsm
+        b = price_backward(paths, PUT_PAYOFF, PUT_BASIS).lsm
         assert a.price - b.price == 0.0
         assert (a.per_path_value - b.per_path_value == 0.0).all()
 
@@ -326,14 +336,14 @@ class TestControlVariateAndBias:
 class TestStandardErrors:
     def test_antithetic_error_uses_pair_means(self):
         paths = desk_paths()
-        euro = european_mc_price(paths, PUT_PAYOFF)
+        euro = price_backward(paths, PUT_PAYOFF, PUT_BASIS).european
         pairs = euro.per_path_value.reshape(-1, 2).mean(axis=1)
         expected = pairs.std(ddof=1) / np.sqrt(pairs.size)
         assert euro.std_error == pytest.approx(expected, rel=1e-12)
 
     def test_plain_error_uses_path_spread(self):
         paths = generate_paths(PUT_MODEL, PUT_SCHEDULE, 4000, seed=8, antithetic=False)
-        euro = european_mc_price(paths, PUT_PAYOFF)
+        euro = price_backward(paths, PUT_PAYOFF, PUT_BASIS).european
         expected = euro.per_path_value.std(ddof=1) / np.sqrt(4000)
         assert euro.std_error == pytest.approx(expected, rel=1e-12)
 
@@ -341,7 +351,7 @@ class TestStandardErrors:
 def test_european_zero_vol_is_the_discounted_forward_payoff():
     model = GbmModel(spot=[100.0], rate=0.05, dividend=[0.02], vol=[0.0], correlation=[[1.0]])
     paths = generate_paths(model, PUT_SCHEDULE, 16, seed=0)
-    result = european_mc_price(paths, PayoffSpec(PUT_SINGLE, strike=120.0))
+    result = price_backward(paths, PayoffSpec(PUT_SINGLE, strike=120.0), PUT_BASIS).european
     expected = np.exp(-0.05) * (120.0 - 100.0 * np.exp(0.03))
     assert result.price == pytest.approx(expected, rel=1e-12)
     assert result.mode == MODE_EUROPEAN
@@ -363,6 +373,6 @@ def test_rank_zero_regression_is_a_numerical_error():
 def test_custom_basis_without_payoff_term_is_usable():
     # the engine only requires evaluable terms; a (1, S) basis prices the toy
     basis = BasisSpec(PUT_SINGLE, 2, (BasisTerm("const"), BasisTerm("mono", (1,))))
-    result, _, _ = price_backward(toy_paths(), TOY_PAYOFF, basis)
+    result = price_backward(toy_paths(), TOY_PAYOFF, basis).lsm
     assert result.price == pytest.approx(37.0 / 3.0, abs=1e-12)
     assert result.ranks == (2,)

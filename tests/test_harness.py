@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from lsmc import harness
 from lsmc.cli import main
 from lsmc.errors import ConfigError
+from lsmc.market import generate_paths
 from lsmc.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -199,6 +200,51 @@ class TestExperiment1:
         c = run_experiment1(tiny_exp1(threads=3))
         assert a.fingerprint() == b.fingerprint() == c.fingerprint()
 
+    # sha256 of run_experiment1(...).fingerprint() as computed when LSM2 had a
+    # pass of its own that rebuilt the valuation paths' design matrices
+    PINNED_DIGESTS = {
+        ("put_single", False):
+            "3923749eecebb58db0165846c8f1b3782a6e89a6af3dd521e3df6a6f20d970a0",
+        ("put_single", True):
+            "4507f72efddeb1f9ed6ed283ab9afe8696b13d8e4ecac688e727562c3bf53aed",
+        ("bestof_call", False):
+            "f929df524c1eaaff7355ed94f4b4b23bcbf22bc6483c2f423b3c64fcb8059378",
+        ("bestof_call", True):
+            "9d8c9cc5c34961b86c4981eeec78f4cbffc60b67b5acfafdf2ab191b2402fa4b",
+        ("basket_call", False):
+            "40002f239a703e4bd4284c2ed50d7ad9ec757245a5d8b549abf6985858858764",
+        ("basket_call", True):
+            "6ec37110ff73559f6a87a5d036b1b05cef2a5ff109975935fbfd5c5b7e9285c4",
+        ("put_single", ("LSM2",)):
+            "37d2eafadda53e7c3bad8308015bd1a43f9c728a91e7f9b47350beae824e6b4e",
+        ("basket_call", ("LSM2",)):
+            "0f6bf09d6cda102cd9ba4e3229cc84f7e03daaff19ed9669d66987b60d7c97f1",
+        ("put_single", ("LSM", "LOOLSM")):
+            "9300ab72329850e09e2e7a7358d9a47d974a6de74d55473da4ac5b27fda3ffe4",
+        ("basket_call", ("LSM", "LOOLSM")):
+            "5f3fd20eff1c2abef8e9b43b7631424fe0d334ca479dc55389d9c15b816189b4",
+    }
+
+    def test_fingerprints_are_pinned(self):
+        # the case's own basis, every estimator, control variate on and off;
+        # then estimator subsets (control variate on) at 1 and 3 threads
+        for (case, variant), digest in self.PINNED_DIGESTS.items():
+            config = dataclasses.replace(
+                default_config(case, 1, "desk"), keys=(100.0,), n_paths=600, n_mc=3, base_seed=99
+            )
+            if isinstance(variant, bool):
+                runs = [dataclasses.replace(config, control_variate=variant)]
+            else:
+                runs = [
+                    dataclasses.replace(
+                        config, estimators=variant, control_variate=True, threads=threads
+                    )
+                    for threads in (1, 3)
+                ]
+            for run in runs:
+                got = hashlib.sha256(run_experiment1(run).fingerprint()).hexdigest()
+                assert got == digest, (case, variant, run.threads)
+
     def test_control_variate_shrinks_basket_dispersion(self):
         # the European payout explains most of the basket estimator noise once
         # sets are large enough that policy noise stops dominating
@@ -246,8 +292,10 @@ class TestExperiment2:
     # sha256 of run_experiment2(tiny_exp2(n_mc_list=...)).fingerprint() as the
     # whole-pool pricing computed it, before the pool was priced chunk by chunk
     WHOLE_POOL_DIGESTS = {
-        (3, 6): "b62eabcd759cb6e1796c6a6004891eacbeac00f7ee035c761655d0cee93eed6a",
-        (2, 3): "db502ec35c7409a6e221bbbf6dfaeed83c572681b454bdac90d0d82c7cf5b4ac",
+        (3, 6):
+            "b62eabcd759cb6e1796c6a6004891eacbeac00f7ee035c761655d0cee93eed6a",
+        (2, 3):
+            "db502ec35c7409a6e221bbbf6dfaeed83c572681b454bdac90d0d82c7cf5b4ac",
     }
 
     def test_reproducible_across_threads(self, monkeypatch):
@@ -303,6 +351,58 @@ class TestCli:
         price = float(next(line.split()[1] for line in out.splitlines()
                            if line.startswith("price")))
         assert 4.0 < price < 9.0
+
+    # sha256 of the stdout of `lsmc price --case CASE --strike KEY --mode MODE
+    # --paths 2000 --seed 5` as computed before the command shared the
+    # experiment-1 set pricing; 85 is off the put's reference grid
+    PRICE_DIGESTS = {
+        ("put_single", "100", "LSM"):
+            "e3deca27f4c1137234be12942ca90fe31b582fb5227e9f913878693edc3f39f1",
+        ("put_single", "100", "LOOLSM"):
+            "0c27018fbd0030a66af125fdd803507313639a430bf787abbefbc4fcc2715394",
+        ("put_single", "100", "LSM2"):
+            "0170b76b1c1254d5c8a1cf41c9423fa98cd0fbef7f9b11d240b5f10a9f5cb251",
+        ("put_single", "100", "EUROPEAN"):
+            "84fdf0b304af9ed445fa3f2a8cf4c931df737b987adce62e9260a476ce5a622d",
+        ("basket_call", "100", "LSM"):
+            "2b6a7a075f0ebc140fbc97dac207274f1d0f4113ed4ede7bcfc6478a6e5cd287",
+        ("basket_call", "100", "LOOLSM"):
+            "34b7803386110277ae7726f22ce26720b406111f7466df483faa8f6d26c9f64c",
+        ("basket_call", "100", "LSM2"):
+            "f23cb8f4d77bd047a90d0642c5e48b742ebc2825755528955ab20f9de003483e",
+        ("basket_call", "100", "EUROPEAN"):
+            "747c97d2520775274d77c812ab959538e6f9459597e3dee0ef0df174c545f79b",
+        ("put_single", "85", "LSM"):
+            "fb4466c1e3ae5268f390005b80bd49d179958f227e4d698e0628a64a1f07bc5b",
+        ("put_single", "85", "LOOLSM"):
+            "73e7be69347fe5c46b2264babb8962b396e31617937cfb1d74593dc2d0c8e93d",
+        ("put_single", "85", "LSM2"):
+            "4724d405da22f78fe15c9d97e4ac8968da1cfb6eb1d78c6ccaf0d3c06be21872",
+        ("put_single", "85", "EUROPEAN"):
+            "d41790cf33ceb0b808a8261ce594bdd6eaa7143eefe8e53e112476472e91572b",
+    }
+
+    @pytest.mark.parametrize("case, key, mode", list(PRICE_DIGESTS))
+    def test_price_command_output_is_pinned(self, capsys, case, key, mode):
+        code = main(["price", "--case", case, "--mode", mode, "--strike", key,
+                     "--paths", "2000", "--seed", "5"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PRICE_DIGESTS[case, key, mode], out
+
+    def test_price_command_runs_the_policy_pass_only_for_lsm2(self, monkeypatch, capsys):
+        path_sets = []
+
+        def counted(*args, **kwargs):
+            path_sets.append(args)
+            return generate_paths(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_paths", counted)
+        for mode in ("LSM", "LOOLSM", "EUROPEAN", "LSM2"):
+            path_sets.clear()
+            assert main(["price", "--case", "put_single", "--mode", mode, "--strike", "100",
+                         "--paths", "400", "--seed", "5"]) == 0
+            assert len(path_sets) == (2 if mode == "LSM2" else 1), mode
 
     def test_oracle_command(self, capsys):
         assert main(["oracle", "--case", "bestof_call", "--key", "100"]) == 0
@@ -361,12 +461,17 @@ class TestCli:
             ("experiment1 --case basket_call", "correlation = nan"),
             ("experiment1 --case basket_call", "maturity = inf"),
             ("experiment2 --case put_single", "keys = nan"),
+            ("experiment1 --case basket_call", "rate = 1e308"),
+            ("experiment1 --case basket_call", "rate = 700"),
+            ("experiment1 --case basket_call", "rate = -700"),
+            ("experiment1 --case basket_call", "dividend = -700"),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
              "odd_antithetic_sets", "repeated_split", "missing_config_file", "not_utf8",
              "out_dir_missing", "off_grid_key", "nan_spot", "inf_strike", "minus_inf_rate",
-             "nan_dividend", "inf_vol", "nan_correlation", "inf_maturity", "nan_key"],
+             "nan_dividend", "inf_vol", "nan_correlation", "inf_maturity", "nan_key",
+             "huge_rate", "rate_700", "rate_minus_700", "dividend_minus_700"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):
@@ -401,9 +506,11 @@ def _entries(draw, values):
 
 @st.composite
 def experiment2_config_files(draw):
-    """Tiny experiment-2 config files; some carry one bad field or one nan or
-    infinite float, and some split the pool into sets that do not divide it
-    or break its antithetic pairs.  Also says whether a float is not finite."""
+    """Tiny experiment-2 config files; some carry one bad field, one nan or
+    infinite float, or a rate or dividend that overflows the discount factor
+    or the forward growth, and some split the pool into sets that do not
+    divide it or break its antithetic pairs.  Also says whether the file
+    holds a float the config must refuse."""
     case = draw(st.sampled_from(["put_single", "basket_call"]))
     sizes = [2, 4, 5] if case == "put_single" else [6, 10, 16]
     lines = {
@@ -424,8 +531,13 @@ def experiment2_config_files(draw):
     non_finite = draw(st.sampled_from([None] * 4 + floats))
     if non_finite is not None:
         lines[non_finite] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+    overflow = draw(st.sampled_from(
+        [None] * 4 + [("rate", "1e308"), ("rate", "700"), ("rate", "-700"), ("dividend", "-700")]
+    ))
+    if overflow is not None:
+        lines[overflow[0]] = overflow[1]
     text = "".join(f"{key} = {value}\n" for key, value in lines.items())
-    return case, text, non_finite is not None
+    return case, text, non_finite is not None or overflow is not None
 
 
 @settings(max_examples=100, deadline=None)
@@ -433,7 +545,7 @@ def experiment2_config_files(draw):
 def test_config_files_run_or_exit_2(drawn):
     # any config file either runs or is refused with one error line; a
     # traceback would escape main() and fail the example
-    case, text, non_finite = drawn
+    case, text, refused = drawn
     fd, path = tempfile.mkstemp(suffix=".cfg")
     try:
         with os.fdopen(fd, "w") as f:
@@ -444,7 +556,7 @@ def test_config_files_run_or_exit_2(drawn):
     finally:
         os.remove(path)
     assert code in (0, 2), err.getvalue()
-    assert code == 2 or not non_finite
+    assert code == 2 or not refused
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     else:

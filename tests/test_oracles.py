@@ -14,7 +14,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from lsmc.contracts import BASKET_CALL, BESTOF_CALL, PUT_SINGLE, PayoffSpec
-from lsmc.engine import european_mc_price
+from lsmc.engine import MODE_EUROPEAN, payout_matrix, pricing_result
 from lsmc.market import GbmModel, generate_paths, uniform_schedule
 from lsmc.oracles import (
     bestof2_european_call,
@@ -196,18 +196,24 @@ class TestReferenceTable:
             reference_price(PUT_SINGLE, 85)
 
 
+def european_mc(paths, payoff):
+    """The European result a backward pass reads off its maturity payout."""
+    maturity = np.ascontiguousarray(payout_matrix(paths, payoff)[:, -1])
+    return pricing_result(maturity, MODE_EUROPEAN, paths)
+
+
 class TestEuropeanMonteCarloAgreement:
     """Simulation and analytics must agree within 4 SE at one million paths."""
 
     def test_put_case(self):
         paths = generate_paths(PUT_MODEL, PUT_SCHEDULE, 1_000_000, seed=101)
-        mc = european_mc_price(paths, PayoffSpec(PUT_SINGLE, strike=100.0))
+        mc = european_mc(paths, PayoffSpec(PUT_SINGLE, strike=100.0))
         exact = bs_european_put(100, 0.2, 0.05, 0.02, 100, 1.0)
         assert abs(mc.price - exact) < 4.0 * mc.std_error
 
     def test_bestof_case(self):
         paths = generate_paths(bestof_model(100.0), uniform_schedule(9, 3.0), 1_000_000, seed=102)
-        mc = european_mc_price(paths, PayoffSpec(BESTOF_CALL, strike=100.0))
+        mc = european_mc(paths, PayoffSpec(BESTOF_CALL, strike=100.0))
         exact = bestof2_european_call(bestof_model(100.0), 100.0, 3.0)
         assert abs(mc.price - exact) < 4.0 * mc.std_error
 
@@ -215,5 +221,5 @@ class TestEuropeanMonteCarloAgreement:
         model = GbmModel(spot=[100.0] * 4, rate=0.0, dividend=[0.0] * 4, vol=[0.40] * 4,
                          correlation=np.full((4, 4), 0.5) + 0.5 * np.eye(4))
         paths = generate_paths(model, uniform_schedule(10, 5.0), 1_000_000, seed=103)
-        mc = european_mc_price(paths, PayoffSpec(BASKET_CALL, strike=100.0))
+        mc = european_mc(paths, PayoffSpec(BASKET_CALL, strike=100.0))
         assert abs(mc.price - reference_price(BASKET_CALL, 100).european) < 4.0 * mc.std_error
