@@ -205,13 +205,16 @@ class ExperimentConfig:
             for key in self.keys:
                 correlation_factor(self.model_for_key(key).correlation)
                 self.payoff_for_key(key)
-            for m in {self.basis_m, *self.m_list}:
-                basis_family(self.case, m)
+            degree = max(
+                sum(term.exponents)
+                for m in {self.basis_m, *self.m_list}
+                for term in basis_family(self.case, m).terms
+            )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         # the discount factor and the forward growth over the maturity scale
-        # the prices, and the regression's column norms and the standard
-        # errors square them
+        # the prices, the basis raises the prices to its monomial degrees, and
+        # the regression's column norms and the standard errors square them
         discount, growth = -self.rate * self.maturity, (self.rate - self.dividend) * self.maturity
         if not max(abs(discount), abs(growth)) < _LOG_SQRT_MAX:
             raise ConfigError(
@@ -219,6 +222,13 @@ class ExperimentConfig:
                 f" exp({discount:.6g}) and a forward growth of exp({growth:.6g}) over maturity"
                 f" {self.maturity}; both squares must be finite positive floats"
             )
+        for spot in self.keys if self.case == BESTOF_CALL else (self.spot,):
+            log_spot = max(abs(math.log(spot)), abs(math.log(spot) + growth))
+            if not degree * log_spot < _LOG_SQRT_MAX:
+                raise ConfigError(
+                    f"spot {spot} grown by exp({growth:.6g}) over maturity {self.maturity},"
+                    f" raised to the basis degree {degree}, must have a finite positive square"
+                )
 
     @property
     def n_assets(self) -> int:

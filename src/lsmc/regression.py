@@ -6,6 +6,11 @@ column space (and hence fitted values, residuals and leverage) unchanged while
 making the numerical-rank decision meaningful for raw polynomial regressors
 whose columns span many orders of magnitude.  Leverage is computed row-wise
 from the orthonormal factor, never by forming the N x N projector.
+
+The thin SVD takes LAPACK's own route for a tall matrix: Householder QR, then
+the SVD of the small triangular factor R.  The orthonormal factor is then
+formed from the reflectors in compact WY form (Schreiber & Van Loan, 1989) by
+matrix products, where LAPACK would form Q one reflector at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf
 
 # 1 - h below this threshold is treated as a leverage-one singularity: the
 # leave-one-out prediction falls back to the full-fit value for that row.
@@ -80,6 +86,38 @@ def _k_major(n_sets: int, n: int, k: int) -> np.ndarray:
     return np.empty((n_sets, k, n)).transpose(0, 2, 1)
 
 
+def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd(a, full_matrices=False) of an (S, N, M) stack whose
+    matrices are each Fortran-ordered; a is overwritten.
+
+    Householder QR of each matrix, then the SVD of the stacked R, then
+    U = Q [U_R; 0] with Q = I - V T V^T built from the reflectors V and the
+    compact WY factor T.  For N >= 11 M / 6 this is the route LAPACK's gesdd
+    takes, so R, s and V^T are bit-identical to np.linalg.svd and U agrees to
+    rounding; below that size every factor agrees to rounding.  Unlike
+    numpy's qr, scipy's dgeqrf releases the interpreter lock.
+    """
+    n_sets, n, m = a.shape
+    k = min(n, m)
+    tau = np.empty((n_sets, k))
+    for j in range(n_sets):
+        _, tau[j], _, _ = dgeqrf(a[j], overwrite_a=True)
+    ur, s, vt = np.linalg.svd(np.triu(a[:, :k, :]), full_matrices=False)
+    # a becomes V: the reflectors below the diagonal, ones on it, zeros above
+    v = a[:, :, :k]
+    top = v[:, :k, :]
+    top[...] = np.tril(top, -1) + np.eye(k)
+    # dlarft's recurrence from the Gram matrix: T[:i, i] = -tau_i T[:i, :i] V^T v_i
+    gram = v.transpose(0, 2, 1) @ v
+    t = np.zeros((n_sets, k, k))
+    t[:, range(k), range(k)] = tau
+    for i in range(1, k):
+        t[:, :i, i] = -tau[:, i, None] * (t[:, :i, :i] @ gram[:, :i, i, None])[..., 0]
+    u = v @ -(t @ (top.transpose(0, 2, 1) @ ur))
+    u[:, :k, :] += ur
+    return u, s, vt
+
+
 def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
     """Independent least-squares fits of a stack of S systems, as fit_least_squares.
 
@@ -89,7 +127,7 @@ def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
     to fitting that set alone.  Sets are projected in groups of equal rank, so
     a rank-deficient set does not change the others.
     """
-    X = np.ascontiguousarray(X, dtype=float)
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 3:
         raise ValueError(f"design stack must be 3-d, got shape {X.shape}")
@@ -106,14 +144,13 @@ def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
         t, i = _first_nonfinite(y)[:2]
         raise ValueError(f"non-finite response at row {i}" + in_set.format(t))
 
-    # The norms sum each column of the C-ordered X in row order, whatever
-    # layout X came in; only the equilibrated copy is laid out per matrix in
-    # Fortran order, the layout LAPACK reads, so the SVD copies it into its
-    # work buffer by contiguous columns instead of gathering them.
-    norms = np.linalg.norm(X, axis=-2)
+    # The norms sum each column of the C-ordered squares in row order,
+    # whatever layout X came in; only the equilibrated copy is laid out per
+    # matrix in Fortran order, the layout LAPACK factors in place.
+    norms = np.sqrt(np.multiply(X, X, order="C").sum(axis=-2))
     norms = np.where(norms > 0.0, norms, 1.0)
     scaled = np.divide(X, norms[:, None, :], out=_k_major(n_sets, n, m))
-    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    u, s, vt = _thin_svd(scaled)
     tol = max(n, m) * np.finfo(float).eps * s[:, 0]
     rank = np.count_nonzero(s > tol[:, None], axis=-1)
 

@@ -465,13 +465,15 @@ class TestCli:
             ("experiment1 --case basket_call", "rate = 700"),
             ("experiment1 --case basket_call", "rate = -700"),
             ("experiment1 --case basket_call", "dividend = -700"),
+            ("experiment1 --case put_single", "rate = 300\nkeys = 100\nn_paths = 400\nn_mc = 2"),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
              "odd_antithetic_sets", "repeated_split", "missing_config_file", "not_utf8",
              "out_dir_missing", "off_grid_key", "nan_spot", "inf_strike", "minus_inf_rate",
              "nan_dividend", "inf_vol", "nan_correlation", "inf_maturity", "nan_key",
-             "huge_rate", "rate_700", "rate_minus_700", "dividend_minus_700"],
+             "huge_rate", "rate_700", "rate_minus_700", "dividend_minus_700",
+             "basis_power_overflow"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):

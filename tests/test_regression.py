@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsmc.contracts import basis_family, design_matrix
+from lsmc.engine import payout_matrix
+from lsmc.harness import default_config
+from lsmc.market import generate_paths
 from lsmc.regression import (
+    _k_major,
+    _thin_svd,
     fit_least_squares,
     fit_least_squares_stack,
     loo_fallback_mask,
@@ -133,6 +139,85 @@ class TestFitLeastSquares:
             fit_least_squares(x, THREE_POINT_Y)
         with pytest.raises(ValueError, match="response at row 2"):
             fit_least_squares(THREE_POINT_X, np.array([0.0, 1.0, np.inf]))
+
+
+def equilibrated(x):
+    """Unit-norm columns, each matrix Fortran-ordered: what the fit factorizes."""
+    norms = np.linalg.norm(x, axis=-2)
+    return np.divide(x, np.where(norms > 0.0, norms, 1.0)[:, None, :],
+                     out=_k_major(*x.shape))
+
+
+def contract_designs(case, n, date=1):
+    """Design matrices at the largest basis of each contract, on its desk model."""
+    config = default_config(case)
+    key = config.keys[len(config.keys) // 2]
+    paths = generate_paths(config.model_for_key(key), config.schedule(), n, seed=41)
+    z = payout_matrix(paths, config.payoff_for_key(key))
+    m = max(config.m_list)
+    return design_matrix(basis_family(case, m), paths.values[:, date, :], z[:, date])
+
+
+class TestThinSvd:
+    """_thin_svd against np.linalg.svd(a, full_matrices=False), whose
+    factorization it replaces."""
+
+    def tall_stack(self):
+        # the three contracts' designs at 400 rows, cut to a common width of
+        # 6 columns; one set has an all-zero column (a tau = 0 reflector) and
+        # one is rank deficient among full-rank ones
+        designs = [contract_designs(case, 400)[:, :6]
+                   for case in ("put_single", "bestof_call", "basket_call")]
+        x = np.stack(designs + [designs[0].copy()])
+        x[1, :, 4] = 0.0
+        x[3, :, 5] = 2.0 * x[3, :, 2] - x[3, :, 3]
+        return x
+
+    def test_tall_matches_lapack_route(self):
+        for x in [self.tall_stack()] + [contract_designs(c, 600)[None] for c in
+                                        ("put_single", "bestof_call", "basket_call")]:
+            a = equilibrated(x)
+            u0, s0, vt0 = np.linalg.svd(a, full_matrices=False)
+            u, s, vt = _thin_svd(equilibrated(x))
+            assert a.shape[1] >= 11 * a.shape[2] // 6
+            assert s.tobytes() == s0.tobytes() and vt.tobytes() == vt0.tobytes()
+            assert np.abs(u - u0).max() < 1e-13
+            gram = u.transpose(0, 2, 1) @ u
+            assert np.abs(gram - np.eye(u.shape[-1])).max() < 1e-14
+
+    def test_rank_deficient_sets_keep_their_rank(self):
+        x = self.tall_stack()
+        s = _thin_svd(equilibrated(x))[1]
+        tol = max(x.shape[1:]) * np.finfo(float).eps * s[:, :1]
+        assert list(np.count_nonzero(s > tol, axis=-1)) == [6, 5, 6, 5]
+
+    @pytest.mark.parametrize("n, m", [(7, 12), (12, 12), (16, 12), (21, 12)])
+    def test_wide_and_near_square_agree_to_rounding(self, n, m):
+        # below 11 m / 6 rows LAPACK bidiagonalizes the matrix itself, so the
+        # factors agree to rounding only (and singular vectors up to sign)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((2, n, m)) * rng.uniform(0.01, 100.0, m)
+        x[1, :, 3] = 0.0
+        a = equilibrated(x)
+        u0, s0, _ = np.linalg.svd(a, full_matrices=False)
+        u, s, vt = _thin_svd(equilibrated(x))
+        k = min(n, m)
+        assert n < 11 * m // 6 and u.shape == (2, n, k) and vt.shape == (2, k, m)
+        assert np.abs(s - s0).max() < 1e-14
+        assert np.abs((u * s[:, None, :]) @ vt - a).max() < 1e-13
+        assert np.abs(u.transpose(0, 2, 1) @ u - np.eye(k)).max() < 1e-14
+        r = np.count_nonzero(s0 > max(n, m) * np.finfo(float).eps * s0[:, :1], axis=-1)
+        for t in range(2):
+            p, p0 = u[t, :, :r[t]], u0[t, :, :r[t]]
+            assert np.abs(p @ p.T - p0 @ p0.T).max() < 1e-13
+
+    def test_stacked_call_equals_per_matrix_calls(self):
+        x = self.tall_stack()
+        stacked = _thin_svd(equilibrated(x))
+        for t in range(x.shape[0]):
+            alone = _thin_svd(equilibrated(x[t:t + 1]))
+            for got, want in zip(stacked, alone):
+                assert got[t].tobytes() == want[0].tobytes()
 
 
 class TestLeaveOneOut:
