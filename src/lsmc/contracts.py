@@ -185,8 +185,8 @@ def design_matrix(spec: BasisSpec, states: np.ndarray, z: np.ndarray) -> np.ndar
     the discounted payout of each row's state at the date in question.
 
     The states are gathered once, asset-major, and each term is written as one
-    contiguous row of a term-major buffer; the result is its C-ordered
-    transpose.  Every entry is bit-identical to the per-column formula
+    contiguous row of a term-major buffer; the result is its transposed view.
+    Every entry is bit-identical to the per-column formula
     ones * s_1 ** e_1 * s_2 ** e_2 ..., since the product with ones is exact.
     """
     assets = np.ascontiguousarray(np.asarray(states, dtype=float).T)
@@ -202,4 +202,4 @@ def design_matrix(spec: BasisSpec, states: np.ndarray, z: np.ndarray) -> np.ndar
             _power(*factors[0], out=row)
             for s, e in factors[1:]:
                 np.multiply(row, s if e == 1 else _power(s, e, scratch), out=row)
-    return np.ascontiguousarray(terms.T)
+    return terms.T

@@ -35,23 +35,27 @@ MODE_EUROPEAN = "EUROPEAN"
 class PricingResult:
     """One price estimate with its per-path decomposition and diagnostics.
 
-    price is always the mean of per_path_value.  ranks and flip_counts have
-    one entry per regression date (t_1 .. t_{I-1}, chronological); maturity
-    carries no regression.  flip_counts counts paths whose exercise decision
-    differs between the full-fit and leave-one-out predictions of this
-    estimator's own value vector at that date.  fallback_count totals
-    leverage-one fallbacks across dates.
+    price is always the mean of per_path_value and std_error, computed when
+    read, its standard error.  ranks and flip_counts have one entry per
+    regression date (t_1 .. t_{I-1}, chronological); maturity carries no
+    regression.  flip_counts counts paths whose exercise decision differs
+    between the full-fit and leave-one-out predictions of this estimator's
+    own value vector at that date.  fallback_count totals leverage-one
+    fallbacks across dates.
     """
 
     price: float
     per_path_value: np.ndarray
-    std_error: float
     mode: str
     ranks: tuple[int, ...]
     fallback_count: int
     flip_counts: tuple[int, ...]
     provenance: tuple
     antithetic: bool
+
+    @property
+    def std_error(self) -> float:
+        return _std_error(self.per_path_value, self.antithetic)
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,15 +107,16 @@ def continue_mask(z, c):
 
 
 def payout_matrix(paths: PathSet, payoff: PayoffSpec) -> np.ndarray:
-    """(N, I) discounted payout of every path at every exercise date."""
+    """(N, I) discounted payout of every path at every exercise date, the
+    transposed view of a date-major buffer."""
     if paths.n_assets != payoff.n_assets:
         raise ValueError(
             f"{payoff.kind} expects {payoff.n_assets} asset(s), paths carry {paths.n_assets}"
         )
-    z = np.empty((paths.n_paths, paths.n_dates))
+    z = np.empty((paths.n_dates, paths.n_paths))
     for i, t in enumerate(paths.times):
-        z[:, i] = discounted_payout(payoff, paths.values[:, i, :], float(t), paths.rate)
-    return z
+        z[i] = discounted_payout(payoff, paths.values[:, i, :], float(t), paths.rate)
+    return z.T
 
 
 def _std_error(per_path: np.ndarray, antithetic: bool) -> float:
@@ -130,7 +135,6 @@ def pricing_result(
     return PricingResult(
         price=float(per_path.mean()),
         per_path_value=per_path,
-        std_error=_std_error(per_path, paths.antithetic),
         mode=mode,
         ranks=tuple(int(r) for r in ranks),
         fallback_count=int(fallbacks),
@@ -211,11 +215,11 @@ def price_backward_stack(
 class BackwardStack:
     """A stack of n_sets path sets of n paths each, part-way through the backward pass.
 
-    It starts from the sets' (n_sets, n) maturity payouts.  Each step
-    regresses one earlier date, latest first, for every set at once, and
-    results reads off the estimators once date 0 is done.  Column 0 of
-    value follows the classical decisions, column 1 the leave-one-out ones,
-    and held, kept only when a policy is given, the policy's.
+    It starts from the sets' (n_sets, n) maturity payouts, rows contiguous.
+    Each step regresses one earlier date, latest first, for every set at
+    once, and results reads off the estimators once date 0 is done.  Column 0
+    of value follows the classical decisions, column 1 the leave-one-out
+    ones, and held, kept only when a policy is given, the policy's.
     """
 
     def __init__(
@@ -226,8 +230,7 @@ class BackwardStack:
         policy: ExercisePolicy | None = None,
     ) -> None:
         n_sets, n = maturity_payout.shape
-        # a contiguous copy: the mean of a strided column can differ in the last bit
-        self.european = np.ascontiguousarray(maturity_payout)
+        self.european = maturity_payout
         # each column is stored contiguously, so every elementwise step
         # runs over whole rows of N paths instead of an innermost axis of 2
         self.value = np.empty((n_sets, 2, n)).transpose(0, 2, 1)
@@ -312,10 +315,5 @@ def apply_control_variate(
     if result.provenance != mc_euro.provenance:
         raise ValueError("control variate must be priced on the same path set as the result")
     per_path = result.per_path_value + (exact_euro - mc_euro.per_path_value)
-    return replace(
-        result,
-        price=float(per_path.mean()),
-        per_path_value=per_path,
-        std_error=_std_error(per_path, result.antithetic),
-    )
+    return replace(result, price=float(per_path.mean()), per_path_value=per_path)
 

@@ -620,12 +620,12 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
             model, schedule, chunk_rows, pool_seed, config.antithetic, offset=c * chunk_rows
         )
         z = payout_matrix(chunk, payoff)
-        euro = np.ascontiguousarray(z[:, -1])
         stacks = []  # (cell, set size, first set, stop set, stack) per stack
         for m, n_mc in cells_of:
             n = config.pool_size // n_mc
             for first, stop in _set_blocks(chunk_rows // n, n):
-                stack = BackwardStack(euro[first * n : stop * n].reshape(-1, n), chunk.n_dates, m)
+                euro = z[first * n : stop * n, -1].reshape(-1, n)
+                stack = BackwardStack(euro, chunk.n_dates, m)
                 stacks.append(((m, n_mc), n, first, stop, stack))
         seconds = np.zeros(len(stacks))
         for i in range(chunk.n_dates - 2, -1, -1):

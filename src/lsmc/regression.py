@@ -4,8 +4,9 @@ The solver is SVD-based and column-equilibrated: each column of the design
 matrix is scaled to unit Euclidean norm before factorization, which leaves the
 column space (and hence fitted values, residuals and leverage) unchanged while
 making the numerical-rank decision meaningful for raw polynomial regressors
-whose columns span many orders of magnitude.  Leverage is computed row-wise
-from the orthonormal factor, never by forming the N x N projector.
+whose columns span many orders of magnitude.  The norms are summed over the
+contiguous columns of the copy that is factorized.  Leverage is computed
+row-wise from the orthonormal factor, never by forming the N x N projector.
 
 The thin SVD takes LAPACK's own route for a tall matrix: Householder QR, then
 the SVD of the small triangular factor R.  The orthonormal factor is then
@@ -137,20 +138,21 @@ def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
     if y.ndim not in (2, 3) or y.shape[:2] != (n_sets, n):
         raise ValueError(f"response must have shape ({n},) or ({n}, k), got {y.shape[1:]}")
     in_set = "" if n_sets == 1 else " of set {}"
-    if not np.isfinite(X).all():
+
+    # The copy is Fortran-ordered per matrix, the layout LAPACK factors in
+    # place, and the norms come from its contiguous columns whatever X's
+    # layout.  A non-finite entry makes its norm non-finite: only then search X.
+    columns = np.array(X.transpose(0, 2, 1), order="C")
+    norms = np.sqrt(np.einsum("smn,smn->sm", columns, columns))
+    if not np.isfinite(norms).all() and not np.isfinite(X).all():
         t, i, j = _first_nonfinite(X)
         raise ValueError(f"non-finite design entry at row {i}, column {j}" + in_set.format(t))
     if not np.isfinite(y).all():
         t, i = _first_nonfinite(y)[:2]
         raise ValueError(f"non-finite response at row {i}" + in_set.format(t))
-
-    # The norms sum each column of the C-ordered squares in row order,
-    # whatever layout X came in; only the equilibrated copy is laid out per
-    # matrix in Fortran order, the layout LAPACK factors in place.
-    norms = np.sqrt(np.multiply(X, X, order="C").sum(axis=-2))
     norms = np.where(norms > 0.0, norms, 1.0)
-    scaled = np.divide(X, norms[:, None, :], out=_k_major(n_sets, n, m))
-    u, s, vt = _thin_svd(scaled)
+    columns /= norms[..., None]
+    u, s, vt = _thin_svd(columns.transpose(0, 2, 1))
     tol = max(n, m) * np.finfo(float).eps * s[:, 0]
     rank = np.count_nonzero(s > tol[:, None], axis=-1)
 

@@ -178,5 +178,5 @@ def test_design_matrix_is_bit_identical_to_per_column_terms(case, m):
     states = values[:, 1, :]  # a strided date slice, as the backward pass passes it
     z = discounted_payout(payoff, states, 0.5, 0.05)
     matrix = design_matrix(spec, states, z)
-    assert matrix.shape == (500, m) and matrix.flags.c_contiguous
+    assert matrix.shape == (500, m) and matrix.T.flags.c_contiguous  # term-major
     assert matrix.tobytes() == per_column_design_matrix(spec, states, z).tobytes()

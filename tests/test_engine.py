@@ -19,14 +19,17 @@ from lsmc.contracts import (
     BasisTerm,
     PayoffSpec,
     basis_family,
+    discounted_payout,
 )
 from lsmc.engine import (
     MODE_EUROPEAN,
     MODE_LOOLSM,
     MODE_LSM,
     MODE_LSM2,
+    _std_error,
     apply_control_variate,
     continue_mask,
+    payout_matrix,
     price_backward,
     price_backward_stack,
 )
@@ -346,6 +349,31 @@ class TestStandardErrors:
         euro = price_backward(paths, PUT_PAYOFF, PUT_BASIS).european
         expected = euro.per_path_value.std(ddof=1) / np.sqrt(4000)
         assert euro.std_error == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_adjusted_error_follows_the_shifted_values(self, antithetic):
+        paths = generate_paths(PUT_MODEL, PUT_SCHEDULE, 2000, seed=8, antithetic=antithetic)
+        lsm, _, _, euro, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
+        adjusted = apply_control_variate(lsm, 6.33, euro)
+        shifted = lsm.per_path_value + (6.33 - euro.per_path_value)
+        assert adjusted.std_error == _std_error(shifted, antithetic)
+        assert adjusted.std_error < lsm.std_error
+
+
+@pytest.mark.parametrize("case", [PUT_SINGLE, BASKET_CALL])
+def test_payout_matrix_is_date_major(case):
+    payoff = PayoffSpec(case, strike=100.0)
+    rng = np.random.default_rng(4)
+    values = rng.lognormal(np.log(100.0), 0.2, size=(300, 4, payoff.n_assets))
+    paths = PathSet(
+        values=values, times=np.array([0.25, 0.5, 0.75, 1.0]), rate=0.05, seed=0,
+        antithetic=False,
+    )
+    z = payout_matrix(paths, payoff)
+    assert z.shape == (300, 4) and z.T.flags.c_contiguous
+    for i, t in enumerate(paths.times):
+        expected = discounted_payout(payoff, values[:, i, :], float(t), paths.rate)
+        assert z[:, i].tobytes() == expected.tobytes()
 
 
 def test_european_zero_vol_is_the_discounted_forward_payoff():

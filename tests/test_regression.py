@@ -140,6 +140,16 @@ class TestFitLeastSquares:
         with pytest.raises(ValueError, match="response at row 2"):
             fit_least_squares(THREE_POINT_X, np.array([0.0, 1.0, np.inf]))
 
+    @pytest.mark.parametrize("bad, row, col", [(np.nan, 17, 3), (np.inf, 0, 5), (-np.inf, 199, 0)])
+    def test_stacked_nonfinite_names_its_set(self, bad, row, col):
+        # the design is searched only when a column norm is non-finite, and a
+        # non-finite entry always makes its column's norm non-finite
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0.5, 2.0, size=(4, 200, 6))
+        x[2, row, col] = bad
+        with pytest.raises(ValueError, match=f"row {row}, column {col} of set 2$"):
+            fit_least_squares_stack(x, rng.standard_normal((4, 200)))
+
 
 def equilibrated(x):
     """Unit-norm columns, each matrix Fortran-ordered: what the fit factorizes."""
