@@ -23,7 +23,8 @@ import numpy as np
 from .contracts import BasisSpec, PayoffSpec, design_matrix, discounted_payout
 from .errors import NumericalError
 from .market import PathSet, split_pool
-from .regression import fit_least_squares_stack, loo_fallback_mask, loo_predictions
+from .regression import StackFactorization, factor_stack, fit_leading
+from .regression import loo_fallback_mask, loo_predictions
 
 MODE_LSM = "LSM"
 MODE_LOOLSM = "LOOLSM"
@@ -208,7 +209,8 @@ def price_backward_stack(
     stack = BackwardStack(z[..., -1], paths.n_dates, basis.m, policy)
     for i in range(paths.n_dates - 2, -1, -1):
         x = design_matrix(basis, paths.values[:, i, :], z[..., i].reshape(-1))
-        stack.step(i, z[..., i], x.reshape(n_sets, n, basis.m), trace)
+        x = x.reshape(n_sets, n, basis.m)
+        stack.step(i, z[..., i], x, factor_stack(x), trace)
     return stack.results(sets, basis)
 
 
@@ -245,11 +247,12 @@ class BackwardStack:
             self.held = self.european.copy()
 
     def step(
-        self, i: int, zi: np.ndarray, x: np.ndarray, trace: list[DateTrace] | None = None
+        self, i: int, zi: np.ndarray, x: np.ndarray, factor: StackFactorization, trace=None
     ) -> None:
-        """Date i: zi is its (n_sets, n) payout and x its (n_sets, n, m) design stack."""
+        """Date i: zi is its (n_sets, n) payout, x its (n_sets, n, m) design stack
+        and factor that of a stack, x or wider, whose leading m columns are x."""
         value = self.value
-        fit = fit_least_squares_stack(x, value)
+        fit = fit_leading(factor, value, x.shape[-1])
         if not fit.rank.all():
             raise NumericalError(f"rank-zero regression at exercise date index {i}")
         c_loo = loo_predictions(fit)

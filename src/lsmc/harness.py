@@ -49,6 +49,7 @@ from .engine import (
 from .errors import ConfigError
 from .market import GbmModel, correlation_factor, generate_paths, split_pool, uniform_schedule
 from .oracles import bestof2_european_call, bs_european_put, reference_price
+from .regression import factor_stack
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _LOG_SQRT_MAX = math.log(np.finfo(float).max) / 2
@@ -222,12 +223,16 @@ class ExperimentConfig:
                 f" exp({discount:.6g}) and a forward growth of exp({growth:.6g}) over maturity"
                 f" {self.maturity}; both squares must be finite positive floats"
             )
-        for spot in self.keys if self.case == BESTOF_CALL else (self.spot,):
-            log_spot = max(abs(math.log(spot)), abs(math.log(spot) + growth))
-            if not degree * log_spot < _LOG_SQRT_MAX:
+        # spots meet the basis degree; the payoff's scale, the discounted strike, enters once
+        bestof = self.case == BESTOF_CALL
+        scales = [("spot", s, growth, degree) for s in (self.keys if bestof else (self.spot,))]
+        scales += [("strike", k, discount, 1) for k in ((self.strike,) if bestof else self.keys)]
+        for name, scale, rate, power in scales:
+            log_scale = max(abs(math.log(scale)), abs(math.log(scale) + rate))
+            if not power * log_scale < _LOG_SQRT_MAX:
                 raise ConfigError(
-                    f"spot {spot} grown by exp({growth:.6g}) over maturity {self.maturity},"
-                    f" raised to the basis degree {degree}, must have a finite positive square"
+                    f"{name} {scale} scaled by exp({rate:.6g}) over maturity {self.maturity}"
+                    f" and raised to the power {power} must have a finite positive square"
                 )
 
     @property
@@ -599,8 +604,11 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     generated once, with one payout matrix and, per date, one design matrix
     at max(m_list) whose column prefixes serve every cell.  Within a cell,
     consecutive sets step back as one stack of at most BLOCK_ROWS rows (one
-    set, if larger).  Each set reports an equal share of its stack's
-    backward-step time, split evenly between the two estimators.
+    set, if larger).  The stacks of every m over the same sets form a group,
+    factored once per date at max(m_list); each m is fitted from the leading
+    columns of that factorization.  Each set reports an equal share of its
+    stack's backward-step time, its share of the group's factorization
+    included, split evenly between the two estimators.
     """
     if len(config.keys) != 1:
         raise ConfigError("experiment 2 runs one strike/spot at a time")
@@ -611,6 +619,7 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     ref, exact_euro = _references(config, key)
     pool_seed = derive_seed(config.base_seed, config.case, "pool")
     bases = {m: basis_family(config.case, m) for m in config.m_list}
+    m_max = max(config.m_list)
     n_chunks = math.gcd(*config.n_mc_list)
     chunk_rows = config.pool_size // n_chunks
     cells_of = [(m, n_mc) for m in config.m_list for n_mc in config.n_mc_list]
@@ -620,35 +629,42 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
             model, schedule, chunk_rows, pool_seed, config.antithetic, offset=c * chunk_rows
         )
         z = payout_matrix(chunk, payoff)
-        stacks = []  # (cell, set size, first set, stop set, stack) per stack
-        for m, n_mc in cells_of:
+        groups = []  # (n_mc, set size, first set, stop set, a stack per m) per block
+        for n_mc in config.n_mc_list:
             n = config.pool_size // n_mc
             for first, stop in _set_blocks(chunk_rows // n, n):
                 euro = z[first * n : stop * n, -1].reshape(-1, n)
-                stack = BackwardStack(euro, chunk.n_dates, m)
-                stacks.append(((m, n_mc), n, first, stop, stack))
-        seconds = np.zeros(len(stacks))
+                stacks = [BackwardStack(euro, chunk.n_dates, m) for m in config.m_list]
+                groups.append((n_mc, n, first, stop, stacks))
+        seconds = np.zeros((len(groups), len(config.m_list)))
         for i in range(chunk.n_dates - 2, -1, -1):
-            x = design_matrix(bases[max(config.m_list)], chunk.values[:, i, :], z[:, i])
-            for s, ((m, _), n, first, stop, stack) in enumerate(stacks):
+            x = design_matrix(bases[m_max], chunk.values[:, i, :], z[:, i])
+            for g, (_, n, first, stop, stacks) in enumerate(groups):
                 rows = slice(first * n, stop * n)
+                xg, zi = x[rows].reshape(-1, n, m_max), z[rows, i].reshape(-1, n)
                 t0 = time.perf_counter()
-                stack.step(i, z[rows, i].reshape(-1, n), x[rows, :m].reshape(-1, n, m))
-                seconds[s] += time.perf_counter() - t0
+                factor = factor_stack(xg)
+                seconds[g] += (time.perf_counter() - t0) / len(stacks)
+                for s, (m, stack) in enumerate(zip(config.m_list, stacks)):
+                    t0 = time.perf_counter()
+                    stack.step(i, zi, xg[..., :m], factor)
+                    seconds[g, s] += time.perf_counter() - t0
+                del factor  # so the next group is factored without this one alive
             del x  # so the next date's matrix is built without this one alive
 
         cells: dict = {cell: [] for cell in cells_of}
-        for (cell, n, first, stop, stack), busy in zip(stacks, seconds):
+        for (n_mc, n, first, stop, stacks), busy in zip(groups, seconds):
             sets = split_pool(chunk, chunk_rows // n)[first:stop]
-            share = busy * 1e3 / (stop - first) / 2
-            for lsm, loo, _, mc_euro, _ in stack.results(sets, bases[cell[0]]):
-                bias = lsm.price - loo.price
-                if config.control_variate:
-                    lsm = apply_control_variate(lsm, exact_euro, mc_euro)
-                    loo = apply_control_variate(loo, exact_euro, mc_euro)
-                cells[cell].append(
-                    {MODE_LSM: _cell(lsm, share), MODE_LOOLSM: _cell(loo, share), "bias": bias}
-                )
+            for m, stack, stack_busy in zip(config.m_list, stacks, busy):
+                share = stack_busy * 1e3 / (stop - first) / 2
+                for lsm, loo, _, mc_euro, _ in stack.results(sets, bases[m]):
+                    bias = lsm.price - loo.price
+                    if config.control_variate:
+                        lsm = apply_control_variate(lsm, exact_euro, mc_euro)
+                        loo = apply_control_variate(loo, exact_euro, mc_euro)
+                    cells[m, n_mc].append(
+                        {MODE_LSM: _cell(lsm, share), MODE_LOOLSM: _cell(loo, share), "bias": bias}
+                    )
         return cells
 
     per_chunk = _map_sets(run_chunk, n_chunks, config.threads)
@@ -688,8 +704,8 @@ def fit_bias_slope(points: list[tuple[float, float, float]]) -> SlopeFit:
     """Weighted least-squares line y = slope * x + intercept through the points.
 
     Each point is (x, y, w) with w the inverse variance of y.  The parameter
-    covariance is (A' W A)^-1 scaled by the reduced chi-square, and r2 is the
-    weighted coefficient of determination.
+    covariance is np.polyfit's: (A' W A)^-1 scaled by the reduced chi-square.
+    r2 is the weighted coefficient of determination.
     """
     if len(points) < 3:
         raise ValueError(f"need at least 3 points to fit a slope, got {len(points)}")
@@ -703,14 +719,8 @@ def fit_bias_slope(points: list[tuple[float, float, float]]) -> SlopeFit:
     if np.ptp(x) == 0.0:
         raise ValueError("all x values identical; slope is undefined")
 
-    a = np.column_stack([x, np.ones_like(x)])
-    cov_unscaled = np.linalg.inv(a.T @ (w[:, None] * a))
-    coef = cov_unscaled @ (a.T @ (w * y))
-    resid = y - a @ coef
-    chi2 = float(np.sum(w * resid**2))
-    dof = len(points) - 2
-    cov = cov_unscaled * (chi2 / dof if dof > 0 else 0.0)
-
+    coef, cov = np.polyfit(x, y, 1, w=np.sqrt(w), cov=True)
+    chi2 = float(np.sum(w * (y - np.polyval(coef, x)) ** 2))
     y_bar = float(np.sum(w * y) / np.sum(w))
     ss_tot = float(np.sum(w * (y - y_bar) ** 2))
     r2 = 1.0 - chi2 / ss_tot if ss_tot > 0.0 else 1.0

@@ -11,13 +11,16 @@ row-wise from the orthonormal factor, never by forming the N x N projector.
 The thin SVD takes LAPACK's own route for a tall matrix: Householder QR, then
 the SVD of the small triangular factor R.  The orthonormal factor is then
 formed from the reflectors in compact WY form (Schreiber & Van Loan, 1989) by
-matrix products, where LAPACK would form Q one reflector at a time.
+matrix products, where LAPACK would form Q one reflector at a time.  The QR
+(factor_stack) and the rest (fit_leading) are separate steps, so one QR of a
+wide design serves fits on any of its leading columns.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf
@@ -73,11 +76,7 @@ def fit_least_squares(X: np.ndarray, y: np.ndarray) -> RegressionFit:
         raise ValueError(f"design matrix must be 2-d, got shape {X.shape}")
     fit = fit_least_squares_stack(X[None], np.asarray(y, dtype=float)[None])
     return RegressionFit(
-        beta=fit.beta[0],
-        fitted=fit.fitted[0],
-        residuals=fit.residuals[0],
-        leverage=fit.leverage[0],
-        rank=int(fit.rank[0]),
+        fit.beta[0], fit.fitted[0], fit.residuals[0], fit.leverage[0], int(fit.rank[0])
     )
 
 
@@ -87,23 +86,31 @@ def _k_major(n_sets: int, n: int, k: int) -> np.ndarray:
     return np.empty((n_sets, k, n)).transpose(0, 2, 1)
 
 
-def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.linalg.svd(a, full_matrices=False) of an (S, N, M) stack whose
-    matrices are each Fortran-ordered; a is overwritten.
-
-    Householder QR of each matrix, then the SVD of the stacked R, then
-    U = Q [U_R; 0] with Q = I - V T V^T built from the reflectors V and the
-    compact WY factor T.  For N >= 11 M / 6 this is the route LAPACK's gesdd
-    takes, so R, s and V^T are bit-identical to np.linalg.svd and U agrees to
-    rounding; below that size every factor agrees to rounding.  Unlike
-    numpy's qr, scipy's dgeqrf releases the interpreter lock.
+class StackFactorization(NamedTuple):
+    """Householder QR of each column-equilibrated matrix of an (S, N, M) stack:
+    the column norms (S, M), a zero column's read as 1; R (S, K, M) with
+    K = min(N, M); the reflectors V (S, N, K) with a unit diagonal; and the
+    compact WY factor T (S, K, K), Q = I - V T V^T.  QR works left to right
+    and T's recurrence fills each column from the earlier ones, so the
+    leading k = min(N, m) reflectors, R[:k, :m] and T[:k, :k] factor the
+    leading m columns, to rounding of factoring those columns alone.
     """
+
+    norms: np.ndarray
+    r: np.ndarray
+    v: np.ndarray
+    t: np.ndarray
+
+
+def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """R, V and T of an (S, N, M) stack whose matrices are each Fortran-ordered;
+    V is a view of a, which is overwritten."""
     n_sets, n, m = a.shape
     k = min(n, m)
     tau = np.empty((n_sets, k))
     for j in range(n_sets):
         _, tau[j], _, _ = dgeqrf(a[j], overwrite_a=True)
-    ur, s, vt = np.linalg.svd(np.triu(a[:, :k, :]), full_matrices=False)
+    r = np.triu(a[:, :k, :])
     # a becomes V: the reflectors below the diagonal, ones on it, zeros above
     v = a[:, :, :k]
     top = v[:, :k, :]
@@ -114,30 +121,44 @@ def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t[:, range(k), range(k)] = tau
     for i in range(1, k):
         t[:, :i, i] = -tau[:, i, None] * (t[:, :i, :i] @ gram[:, :i, i, None])[..., 0]
-    u = v @ -(t @ (top.transpose(0, 2, 1) @ ur))
+    return r, v, t
+
+
+def _leading_svd(r, v, t, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD of the leading m columns of what _householder factored: the
+    SVD of R[:k, :m], then U = Q [U_R; 0] from the first k reflectors."""
+    k = min(v.shape[1], m)
+    ur, s, vt = np.linalg.svd(r[:, :k, :m], full_matrices=False)
+    v = v[..., :k]
+    u = v @ -(t[:, :k, :k] @ (v[:, :k, :].transpose(0, 2, 1) @ ur))
     u[:, :k, :] += ur
     return u, s, vt
 
 
-def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
-    """Independent least-squares fits of a stack of S systems, as fit_least_squares.
+def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.svd(a, full_matrices=False) of an (S, N, M) stack whose
+    matrices are each Fortran-ordered; a is overwritten.
 
-    X is (S, N, M) and y is (S, N) or (S, N, k).  Every numpy call covers the
-    whole stack, and the stacked SVD, products and reductions repeat the
-    per-matrix arithmetic of a single fit, so each set's fit is bit-identical
-    to fitting that set alone.  Sets are projected in groups of equal rank, so
-    a rank-deficient set does not change the others.
+    Householder QR of each matrix (scipy's dgeqrf, which unlike numpy's qr
+    releases the interpreter lock), the SVD of the stacked R, then U formed
+    in compact WY form.  For N >= 11 M / 6 this is the route LAPACK's gesdd
+    takes, so R, s and V^T are bit-identical to np.linalg.svd and U agrees to
+    rounding; below that size every factor agrees to rounding.
+    """
+    return _leading_svd(*_householder(a), a.shape[2])
+
+
+def factor_stack(X: np.ndarray) -> StackFactorization:
+    """Check an (S, N, M) design stack, equilibrate its columns and factor it.
+
+    Raises ValueError on an empty or non-finite stack, naming the offending entry.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     if X.ndim != 3:
         raise ValueError(f"design stack must be 3-d, got shape {X.shape}")
     n_sets, n, m = X.shape
     if n_sets < 1 or n < 1 or m < 1:
         raise ValueError(f"design matrix must be non-empty, got shape {X.shape[1:]}")
-    if y.ndim not in (2, 3) or y.shape[:2] != (n_sets, n):
-        raise ValueError(f"response must have shape ({n},) or ({n}, k), got {y.shape[1:]}")
-    in_set = "" if n_sets == 1 else " of set {}"
 
     # The copy is Fortran-ordered per matrix, the layout LAPACK factors in
     # place, and the norms come from its contiguous columns whatever X's
@@ -146,13 +167,28 @@ def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
     norms = np.sqrt(np.einsum("smn,smn->sm", columns, columns))
     if not np.isfinite(norms).all() and not np.isfinite(X).all():
         t, i, j = _first_nonfinite(X)
-        raise ValueError(f"non-finite design entry at row {i}, column {j}" + in_set.format(t))
-    if not np.isfinite(y).all():
-        t, i = _first_nonfinite(y)[:2]
-        raise ValueError(f"non-finite response at row {i}" + in_set.format(t))
+        in_set = "" if n_sets == 1 else f" of set {t}"
+        raise ValueError(f"non-finite design entry at row {i}, column {j}" + in_set)
     norms = np.where(norms > 0.0, norms, 1.0)
     columns /= norms[..., None]
-    u, s, vt = _thin_svd(columns.transpose(0, 2, 1))
+    return StackFactorization(norms, *_householder(columns.transpose(0, 2, 1)))
+
+
+def fit_leading(factor: StackFactorization, y: np.ndarray, m: int) -> RegressionFit:
+    """Fits of y (S, N) or (S, N, k) on the leading m columns of the factored
+    stack, with fit_least_squares' rank rule at max(N, m)."""
+    n_sets, n, _ = factor.v.shape
+    if not 1 <= m <= factor.norms.shape[1]:
+        raise ValueError(f"cannot fit {m} leading columns of {factor.norms.shape[1]}")
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (2, 3) or y.shape[:2] != (n_sets, n):
+        raise ValueError(f"response must have shape ({n},) or ({n}, k), got {y.shape[1:]}")
+    if not np.isfinite(y).all():
+        t, i = _first_nonfinite(y)[:2]
+        in_set = "" if n_sets == 1 else f" of set {t}"
+        raise ValueError(f"non-finite response at row {i}" + in_set)
+    u, s, vt = _leading_svd(factor.r, factor.v, factor.t, m)
+    norms = factor.norms[:, :m]
     tol = max(n, m) * np.finfo(float).eps * s[:, 0]
     rank = np.count_nonzero(s > tol[:, None], axis=-1)
 
@@ -175,13 +211,19 @@ def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
         leverage[sel] = np.minimum(np.einsum("sij,sij->si", ur, ur), 1.0)
     if y.ndim == 2:
         beta, fitted = beta[..., 0], fitted[..., 0]
-    return RegressionFit(
-        beta=beta,
-        fitted=fitted,
-        residuals=y - fitted,
-        leverage=leverage,
-        rank=rank,
-    )
+    return RegressionFit(beta, fitted, y - fitted, leverage, rank)
+
+
+def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
+    """Independent least-squares fits of a stack of S systems, as fit_least_squares.
+
+    X is (S, N, M) and y is (S, N) or (S, N, k).  Every numpy call covers the
+    whole stack, and the stacked SVD, products and reductions repeat the
+    per-matrix arithmetic of a single fit, so each set's fit is bit-identical
+    to fitting that set alone.  Sets are projected in groups of equal rank,
+    so a rank-deficient set does not change the others.
+    """
+    return fit_leading(factor_stack(X), y, np.shape(X)[-1])
 
 
 def loo_fallback_mask(fit: RegressionFit) -> np.ndarray:

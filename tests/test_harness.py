@@ -466,6 +466,8 @@ class TestCli:
             ("experiment1 --case basket_call", "rate = -700"),
             ("experiment1 --case basket_call", "dividend = -700"),
             ("experiment1 --case put_single", "rate = 300\nkeys = 100\nn_paths = 400\nn_mc = 2"),
+            ("price --case put_single --strike 1e300 --paths 2000", None),
+            ("experiment1 --case bestof_call", "strike = 1e300\nn_paths = 400\nn_mc = 2"),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
@@ -473,7 +475,7 @@ class TestCli:
              "out_dir_missing", "off_grid_key", "nan_spot", "inf_strike", "minus_inf_rate",
              "nan_dividend", "inf_vol", "nan_correlation", "inf_maturity", "nan_key",
              "huge_rate", "rate_700", "rate_minus_700", "dividend_minus_700",
-             "basis_power_overflow"],
+             "basis_power_overflow", "price_strike_overflow", "bestof_strike_overflow"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):
@@ -485,7 +487,9 @@ class TestCli:
             cfg.write_bytes(config + b"\n")
         elif config is not None:
             cfg.write_text(config + "\n")
-        argv = command.format(tmp=tmp_path).split() + ["--config", str(cfg)]
+        argv = command.format(tmp=tmp_path).split()
+        if not command.startswith("price"):  # price takes no config file
+            argv += ["--config", str(cfg)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""  # rejected before any path or row is computed

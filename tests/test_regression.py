@@ -17,8 +17,10 @@ from lsmc.market import generate_paths
 from lsmc.regression import (
     _k_major,
     _thin_svd,
+    factor_stack,
     fit_least_squares,
     fit_least_squares_stack,
+    fit_leading,
     loo_fallback_mask,
     loo_predictions,
 )
@@ -228,6 +230,59 @@ class TestThinSvd:
             alone = _thin_svd(equilibrated(x[t:t + 1]))
             for got, want in zip(stacked, alone):
                 assert got[t].tobytes() == want[0].tobytes()
+
+
+class TestLeadingColumnFits:
+    """factor_stack, then fit_leading on the leading m columns: how experiment
+    2 fits every nested basis from one factorization of the widest design."""
+
+    FIELDS = ("beta", "fitted", "residuals", "leverage", "rank")
+
+    def mixed_stack(self, case):
+        # the contract's widest design on two dates, and a third set with a
+        # zero column and a duplicated one inside every prefix
+        x = np.stack([contract_designs(case, 1200, date) for date in (1, 2, 1)])
+        x[2, :, 2] = 0.0
+        x[2, :, 3] = 2.0 * x[2, :, 1]
+        return x, np.random.default_rng(17).standard_normal((3, 1200, 2))
+
+    @pytest.mark.parametrize("case", ["put_single", "bestof_call", "basket_call"])
+    def test_full_width_is_the_stacked_fit(self, case):
+        x, y = self.mixed_stack(case)
+        fit, reference = fit_leading(factor_stack(x), y, x.shape[-1]), fit_least_squares_stack(x, y)
+        for name in self.FIELDS:
+            assert getattr(fit, name).tobytes() == getattr(reference, name).tobytes()
+
+    @pytest.mark.parametrize("case, m_list", [
+        ("put_single", (4, 8, 12)), ("bestof_call", (4, 7, 11)), ("basket_call", (6, 10, 16)),
+    ])
+    def test_leading_columns_match_their_own_fit(self, case, m_list):
+        # the prefix factorization agrees with factoring the prefix alone to
+        # rounding, which least-squares perturbation theory scales by the
+        # condition number (fitted values, leverage) and its square (beta)
+        assert default_config(case, 2).m_list == m_list
+        x, y = self.mixed_stack(case)
+        factor = factor_stack(x)
+        eps = np.finfo(float).eps
+        for m in m_list:
+            fit, alone = fit_leading(factor, y, m), fit_least_squares_stack(x[..., :m], y)
+            assert list(alone.rank) == [m, m, m - 2]
+            assert fit.rank.tobytes() == alone.rank.tobytes()
+            s = np.linalg.svd(equilibrated(x[..., :m]), compute_uv=False)
+            cond = s[:, 0] / s[range(3), alone.rank - 1]
+            scale = np.linalg.norm(x[..., :m], axis=-2)[..., None]
+            for t in range(3):
+                assert np.abs(fit.fitted[t] - alone.fitted[t]).max() < 1e3 * eps * cond[t]
+                assert np.abs(fit.leverage[t] - alone.leverage[t]).max() < 1e3 * eps * cond[t]
+                beta_error = np.abs((fit.beta[t] - alone.beta[t]) * scale[t]).max()
+                assert beta_error < 1e2 * eps * cond[t] ** 2
+
+    def test_rejects_columns_it_has_not_factored(self):
+        x, y = self.mixed_stack("put_single")
+        factor = factor_stack(x)
+        for m in (0, x.shape[-1] + 1):
+            with pytest.raises(ValueError, match="leading columns"):
+                fit_leading(factor, y, m)
 
 
 class TestLeaveOneOut:
