@@ -9,11 +9,13 @@ exercise decision, so one backward pass carries both: each date's design
 matrix is factorized once and both value vectors are projected through it.
 Given an exercise policy fitted on other paths, the same pass also values the
 two-pass estimator on that design matrix, and the maturity payout it starts
-from is the European Monte Carlo result.
+from is the European Monte Carlo result.  step_back is the one date loop of
+every pass, for experiment 1 and `lsmc price` as for experiment 2.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -22,7 +24,7 @@ import numpy as np
 
 from .contracts import BasisSpec, PayoffSpec, design_matrix, discounted_payout
 from .errors import NumericalError
-from .market import PathSet, split_pool
+from .market import PathSet
 from .regression import StackFactorization, factor_stack, fit_leading
 from .regression import loo_fallback_mask, loo_predictions
 
@@ -152,41 +154,15 @@ def price_backward(
     trace: list[DateTrace] | None = None,
     policy: ExercisePolicy | None = None,
 ) -> BackwardPrices:
-    """Backward-induction prices under the classical and leave-one-out estimators.
+    """Every estimator's price on one path set, stepped back as one stack.
 
-    Starting from the maturity payout, each earlier exercise date regresses
-    both path value vectors on the basis over all paths, with one
-    factorization of the design matrix, and replaces each value with the
-    payout wherever its decision prediction falls below it: the fitted value
-    for MODE_LSM, its leave-one-out correction for MODE_LOOLSM.  Returns both
-    results, the classical exercise policy and the European result.
-
-    Given a policy fitted on other paths, a third value vector follows its
-    decisions on the same design matrices, with no regression: the two-pass
-    estimator MODE_LSM2, whose decisions are independent of the valued
-    payoffs.  It reports the policy's ranks and no flips.  This is the
-    one-set case of price_backward_stack.
-    """
-    return price_backward_stack(paths, 1, payoff, basis, trace, policy)[0]
-
-
-def price_backward_stack(
-    paths: PathSet,
-    n_sets: int,
-    payoff: PayoffSpec,
-    basis: BasisSpec,
-    trace: list[DateTrace] | None = None,
-    policy: ExercisePolicy | None = None,
-) -> list[BackwardPrices]:
-    """price_backward for each of the n_sets sets split_pool(paths, n_sets) gives.
-
-    The sets are priced together as one (n_sets, N) stack: each date builds
-    one design matrix and makes one stacked fit for all of them, so the
-    number of numpy calls does not grow with n_sets and the heavy ones run
-    without the interpreter lock.  Each set's results are bit-identical to
-    pricing it alone.  The trace, when given, receives one entry per set and
-    date, sets in order within each date.  A policy, when given, is applied
-    to every set.
+    Each date replaces a value with the payout wherever its decision
+    prediction falls below it: the fitted value for MODE_LSM, its
+    leave-one-out correction for MODE_LOOLSM.  Given a policy fitted on other
+    paths, a third value vector follows its decisions with no regression: the
+    two-pass estimator MODE_LSM2, which reports the policy's ranks and no
+    flips.  Also returns the classical exercise policy and the European
+    result.  The trace, when given, receives one entry per date.
     """
     if basis.case != payoff.kind:
         raise ValueError(f"basis built for {basis.case!r}, payoff is {payoff.kind!r}")
@@ -196,59 +172,77 @@ def price_backward_stack(
             f"a policy for {len(policy.coefficients)} date(s) on basis {policy.basis.labels}"
             f" cannot value {fitted_for[0]} date(s) on basis {basis.labels}"
         )
-    sets = split_pool(paths, n_sets)
-    n = sets[0].n_paths
-    if n <= basis.m:
+    if paths.n_paths <= basis.m:
         warnings.warn(
-            f"{n} paths for {basis.m} regressors; estimates will be unstable",
+            f"{paths.n_paths} paths for {basis.m} regressors; estimates will be unstable",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    z = payout_matrix(paths, payoff).reshape(n_sets, n, paths.n_dates)
-    stack = BackwardStack(z[..., -1], paths.n_dates, basis.m, policy)
+    z = payout_matrix(paths, payoff)
+    stack = BackwardStack(z, slice(None), paths.n_paths, basis.m, policy, trace)
+    step_back(paths, z, basis, [[stack]])
+    return stack.results([paths], basis)[0]
+
+
+def step_back(
+    paths: PathSet, z: np.ndarray, basis: BasisSpec, groups: list[list[BackwardStack]]
+) -> None:
+    """Step every stack back from the last date before maturity to date 0.
+
+    z is the paths' payout matrix and basis the widest of the stacks' bases.
+    Per date: one design matrix at that basis for all the paths, one
+    factorization per group (a list of stacks over the same rows), and each
+    stack's step on its leading m columns.  Each stack's busy_s gains its
+    step time and an equal share of its group's factorization time.
+    """
     for i in range(paths.n_dates - 2, -1, -1):
-        x = design_matrix(basis, paths.values[:, i, :], z[..., i].reshape(-1))
-        x = x.reshape(n_sets, n, basis.m)
-        stack.step(i, z[..., i], x, factor_stack(x), trace)
-    return stack.results(sets, basis)
+        x = design_matrix(basis, paths.values[:, i, :], z[:, i])
+        for group in groups:
+            rows, shape = group[0].rows, group[0].european.shape
+            xg, zi = x[rows].reshape(*shape, basis.m), z[rows, i].reshape(shape)
+            t0 = time.perf_counter()
+            factor = factor_stack(xg)
+            share = (time.perf_counter() - t0) / len(group)
+            for stack in group:
+                t0 = time.perf_counter()
+                stack.step(i, zi, xg[..., : stack.m], factor)
+                stack.busy_s += time.perf_counter() - t0 + share
+            del factor  # so the next group is factored without this one alive
+        del x  # so the next date's matrix is built without this one alive
 
 
 class BackwardStack:
-    """A stack of n_sets path sets of n paths each, part-way through the backward pass.
+    """The sets of n paths in some rows of a payout matrix z, part-way through the pass.
 
-    It starts from the sets' (n_sets, n) maturity payouts, rows contiguous.
-    Each step regresses one earlier date, latest first, for every set at
-    once, and results reads off the estimators once date 0 is done.  Column 0
-    of value follows the classical decisions, column 1 the leave-one-out
-    ones, and held, kept only when a policy is given, the policy's.
+    Each step regresses one earlier date, latest first, for every set at once
+    on m basis columns, and results reads off the estimators once date 0 is
+    done.  Column 0 of value follows the classical decisions, column 1 the
+    leave-one-out ones, and held, kept only when a policy is given, the
+    policy's.  busy_s totals the time step_back spends on this stack.
     """
 
     def __init__(
-        self,
-        maturity_payout: np.ndarray,
-        n_dates: int,
-        m: int,
-        policy: ExercisePolicy | None = None,
+        self, z: np.ndarray, rows: slice, n: int, m: int,
+        policy: ExercisePolicy | None = None, trace: list[DateTrace] | None = None,
     ) -> None:
-        n_sets, n = maturity_payout.shape
-        self.european = maturity_payout
+        self.european = z[rows, -1].reshape(-1, n)
+        n_sets, n_dates = self.european.shape[0], z.shape[1]
+        self.rows, self.m, self.policy, self.trace = rows, m, policy, trace
+        self.busy_s = 0.0
         # each column is stored contiguously, so every elementwise step
         # runs over whole rows of N paths instead of an innermost axis of 2
         self.value = np.empty((n_sets, 2, n)).transpose(0, 2, 1)
-        self.value[...] = maturity_payout[..., None]
+        self.value[...] = self.european[..., None]
         self.keep = np.empty((n_sets, 2, n), dtype=bool).transpose(0, 2, 1)
         self.betas = np.empty((n_sets, n_dates - 1, m))
         self.ranks = np.zeros((n_sets, n_dates - 1), dtype=int)
         self.flips = np.zeros((n_sets, 2, n_dates - 1), dtype=int)
         self.fallbacks = np.zeros(n_sets, dtype=int)
-        self.policy = policy
         if policy is not None:
             self.held = self.european.copy()
 
-    def step(
-        self, i: int, zi: np.ndarray, x: np.ndarray, factor: StackFactorization, trace=None
-    ) -> None:
+    def step(self, i: int, zi: np.ndarray, x: np.ndarray, factor: StackFactorization) -> None:
         """Date i: zi is its (n_sets, n) payout, x its (n_sets, n, m) design stack
         and factor that of a stack, x or wider, whose leading m columns are x."""
         value = self.value
@@ -261,8 +255,8 @@ class BackwardStack:
         keep_full = continue_mask(zi[..., None], fit.fitted)
         keep_loo = continue_mask(zi[..., None], c_loo)
         self.flips[..., i] = np.count_nonzero(keep_full != keep_loo, axis=-2)
-        if trace is not None:
-            trace.extend(
+        if self.trace is not None:
+            self.trace.extend(
                 DateTrace(
                     date_index=i,
                     payout=zi[k].copy(),

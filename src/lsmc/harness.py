@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
 from types import NoneType, UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .contracts import (
     PUT_SINGLE,
     PayoffSpec,
     basis_family,
-    design_matrix,
 )
 from .engine import (
     MODE_EUROPEAN,
@@ -45,11 +44,11 @@ from .engine import (
     apply_control_variate,
     payout_matrix,
     price_backward,
+    step_back,
 )
 from .errors import ConfigError
 from .market import GbmModel, correlation_factor, generate_paths, split_pool, uniform_schedule
 from .oracles import bestof2_european_call, bs_european_put, reference_price
-from .regression import factor_stack
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _LOG_SQRT_MAX = math.log(np.finfo(float).max) / 2
@@ -206,16 +205,11 @@ class ExperimentConfig:
             for key in self.keys:
                 correlation_factor(self.model_for_key(key).correlation)
                 self.payoff_for_key(key)
-            degree = max(
-                sum(term.exponents)
-                for m in {self.basis_m, *self.m_list}
-                for term in basis_family(self.case, m).terms
-            )
+            for m in {self.basis_m, *self.m_list}:
+                basis_family(self.case, m)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        # the discount factor and the forward growth over the maturity scale
-        # the prices, the basis raises the prices to its monomial degrees, and
-        # the regression's column norms and the standard errors square them
+        # these factors scale the prices, and the standard errors square them
         discount, growth = -self.rate * self.maturity, (self.rate - self.dividend) * self.maturity
         if not max(abs(discount), abs(growth)) < _LOG_SQRT_MAX:
             raise ConfigError(
@@ -223,16 +217,29 @@ class ExperimentConfig:
                 f" exp({discount:.6g}) and a forward growth of exp({growth:.6g}) over maturity"
                 f" {self.maturity}; both squares must be finite positive floats"
             )
-        # spots meet the basis degree; the payoff's scale, the discounted strike, enters once
+
+    def check_scales(self, sizes: tuple[int, ...], rows: int) -> None:
+        """Refuse a spot or strike too large for the regressions of a run.
+
+        sizes are the basis sizes the run fits and rows the most paths one of
+        its regressions has.  A column's squared norm, a sum of rows squares,
+        must stay a finite positive float for the spot's start value and root
+        mean square at maturity, each raised to the bases' highest monomial
+        degree, and for the strike's start and discounted value."""
+        degree = max(sum(t.exponents) for m in sizes for t in basis_family(self.case, m).terms)
+        discount, growth = -self.rate * self.maturity, (self.rate - self.dividend) * self.maturity
+        # the mean 2p-th power of a lognormal price is S^2p exp(2p growth + p(2p-1) vol^2 T)
+        spread = growth + (degree - 0.5) * self.vol * self.vol * self.maturity
         bestof = self.case == BESTOF_CALL
-        scales = [("spot", s, growth, degree) for s in (self.keys if bestof else (self.spot,))]
+        scales = [("spot", s, spread, degree) for s in (self.keys if bestof else (self.spot,))]
         scales += [("strike", k, discount, 1) for k in ((self.strike,) if bestof else self.keys)]
         for name, scale, rate, power in scales:
             log_scale = max(abs(math.log(scale)), abs(math.log(scale) + rate))
-            if not power * log_scale < _LOG_SQRT_MAX:
+            if not power * log_scale + math.log(rows) / 2 < _LOG_SQRT_MAX:
                 raise ConfigError(
-                    f"{name} {scale} scaled by exp({rate:.6g}) over maturity {self.maturity}"
-                    f" and raised to the power {power} must have a finite positive square"
+                    f"{name} {scale} scaled by exp({rate:.6g}) over maturity {self.maturity},"
+                    f" raised to the power {power} and summed in squares over {rows} paths,"
+                    " must stay a finite positive float"
                 )
 
     @property
@@ -461,9 +468,17 @@ def _references(config: ExperimentConfig, key: float):
     return ref, exact
 
 
-def _cell(result: PricingResult, wall_ms: float) -> tuple:
-    """What a report row needs of one set's result: price, flips, min rank, wall time."""
-    return (result.price, sum(result.flip_counts), min(result.ranks, default=0), wall_ms)
+class _Cell(NamedTuple):
+    """One set's result under one estimator, held as scalars so its per-path arrays are freed."""
+
+    price: float
+    flips: int
+    min_rank: int
+    wall_ms: float
+
+
+def _cell(result: PricingResult, wall_ms: float) -> _Cell:
+    return _Cell(result.price, sum(result.flip_counts), min(result.ranks, default=0), wall_ms)
 
 
 def _report_row(
@@ -474,7 +489,7 @@ def _report_row(
     Offsets are the set prices minus the reference price; bias is the row's
     (mean_bias, bias_se) pair, NaN where undefined.
     """
-    offsets = np.array([c[estimator][0] for c in cells]) - reference
+    offsets = np.array([c[estimator].price for c in cells]) - reference
     std, se = _spread(offsets)
     mean_bias, bias_se = bias
     return ReportRow(
@@ -489,9 +504,9 @@ def _report_row(
         se_mean=se,
         mean_bias=mean_bias,
         bias_se=bias_se,
-        flips_total=int(sum(c[estimator][1] for c in cells)),
-        min_rank=int(min(c[estimator][2] for c in cells)),
-        wall_ms=float(sum(c[estimator][3] for c in cells)),
+        flips_total=int(sum(c[estimator].flips for c in cells)),
+        min_rank=int(min(c[estimator].min_rank for c in cells)),
+        wall_ms=float(sum(c[estimator].wall_ms for c in cells)),
     )
 
 
@@ -505,6 +520,7 @@ def price_set(config: ExperimentConfig, key: float, k: int) -> dict[str, Pricing
     optional control variate shifts every Bermudan result by the European
     pricing error of the set.  Returns the results keyed by mode.
     """
+    config.check_scales((config.basis_m,), config.n_paths)
     model = config.model_for_key(key)
     payoff = config.payoff_for_key(key)
     schedule = config.schedule()
@@ -567,12 +583,12 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
 
         cells = _map_sets(run_set, config.n_mc, config.threads)
         lsm_prices = (
-            np.array([c[MODE_LSM][0] for c in cells]) if MODE_LSM in config.estimators else None
+            np.array([c[MODE_LSM].price for c in cells]) if MODE_LSM in config.estimators else None
         )
         for estimator in config.estimators:
             bias = (math.nan, math.nan)
             if estimator != MODE_LSM and lsm_prices is not None:
-                diffs = np.array([c[estimator][0] for c in cells]) - lsm_prices
+                diffs = np.array([c[estimator].price for c in cells]) - lsm_prices
                 bias = (float(diffs.mean()), _spread(diffs)[1])
             report.rows.append(
                 _report_row(
@@ -601,17 +617,15 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
 
     The pool is priced in gcd(n_mc_list) chunks, the tasks spread over
     `threads`; every set of every split lies inside one chunk.  A chunk is
-    generated once, with one payout matrix and, per date, one design matrix
-    at max(m_list) whose column prefixes serve every cell.  Within a cell,
-    consecutive sets step back as one stack of at most BLOCK_ROWS rows (one
-    set, if larger).  The stacks of every m over the same sets form a group,
-    factored once per date at max(m_list); each m is fitted from the leading
-    columns of that factorization.  Each set reports an equal share of its
-    stack's backward-step time, its share of the group's factorization
-    included, split evenly between the two estimators.
+    generated once and priced by one call of the engine's date loop,
+    step_back, at max(m_list).  Within a cell, consecutive sets form one stack
+    of at most BLOCK_ROWS rows (one set, if larger), and the stacks of every
+    m over the same sets form one group.  Each set reports an equal share of
+    its stack's busy time, split evenly between the two estimators.
     """
     if len(config.keys) != 1:
         raise ConfigError("experiment 2 runs one strike/spot at a time")
+    config.check_scales(config.m_list, config.pool_size // min(config.n_mc_list))
     key = config.keys[0]
     schedule = config.schedule()
     model = config.model_for_key(key)
@@ -619,7 +633,6 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     ref, exact_euro = _references(config, key)
     pool_seed = derive_seed(config.base_seed, config.case, "pool")
     bases = {m: basis_family(config.case, m) for m in config.m_list}
-    m_max = max(config.m_list)
     n_chunks = math.gcd(*config.n_mc_list)
     chunk_rows = config.pool_size // n_chunks
     cells_of = [(m, n_mc) for m in config.m_list for n_mc in config.n_mc_list]
@@ -629,40 +642,25 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
             model, schedule, chunk_rows, pool_seed, config.antithetic, offset=c * chunk_rows
         )
         z = payout_matrix(chunk, payoff)
-        groups = []  # (n_mc, set size, first set, stop set, a stack per m) per block
-        for n_mc in config.n_mc_list:
-            n = config.pool_size // n_mc
-            for first, stop in _set_blocks(chunk_rows // n, n):
-                euro = z[first * n : stop * n, -1].reshape(-1, n)
-                stacks = [BackwardStack(euro, chunk.n_dates, m) for m in config.m_list]
-                groups.append((n_mc, n, first, stop, stacks))
-        seconds = np.zeros((len(groups), len(config.m_list)))
-        for i in range(chunk.n_dates - 2, -1, -1):
-            x = design_matrix(bases[m_max], chunk.values[:, i, :], z[:, i])
-            for g, (_, n, first, stop, stacks) in enumerate(groups):
-                rows = slice(first * n, stop * n)
-                xg, zi = x[rows].reshape(-1, n, m_max), z[rows, i].reshape(-1, n)
-                t0 = time.perf_counter()
-                factor = factor_stack(xg)
-                seconds[g] += (time.perf_counter() - t0) / len(stacks)
-                for s, (m, stack) in enumerate(zip(config.m_list, stacks)):
-                    t0 = time.perf_counter()
-                    stack.step(i, zi, xg[..., :m], factor)
-                    seconds[g, s] += time.perf_counter() - t0
-                del factor  # so the next group is factored without this one alive
-            del x  # so the next date's matrix is built without this one alive
+        groups = [  # a stack per m over each run of consecutive sets
+            [BackwardStack(z, slice(first * n, stop * n), n, m) for m in config.m_list]
+            for n in (config.pool_size // n_mc for n_mc in config.n_mc_list)
+            for first, stop in _set_blocks(chunk_rows // n, n)
+        ]
+        step_back(chunk, z, bases[max(config.m_list)], groups)
 
         cells: dict = {cell: [] for cell in cells_of}
-        for (n_mc, n, first, stop, stacks), busy in zip(groups, seconds):
-            sets = split_pool(chunk, chunk_rows // n)[first:stop]
-            for m, stack, stack_busy in zip(config.m_list, stacks, busy):
-                share = stack_busy * 1e3 / (stop - first) / 2
-                for lsm, loo, _, mc_euro, _ in stack.results(sets, bases[m]):
+        for group in groups:
+            (n_sets, n), rows = group[0].european.shape, group[0].rows
+            sets = split_pool(chunk, chunk_rows // n)[rows.start // n : rows.stop // n]
+            for stack in group:
+                share = stack.busy_s * 1e3 / n_sets / 2
+                for lsm, loo, _, mc_euro, _ in stack.results(sets, bases[stack.m]):
                     bias = lsm.price - loo.price
                     if config.control_variate:
                         lsm = apply_control_variate(lsm, exact_euro, mc_euro)
                         loo = apply_control_variate(loo, exact_euro, mc_euro)
-                    cells[m, n_mc].append(
+                    cells[stack.m, config.pool_size // n].append(
                         {MODE_LSM: _cell(lsm, share), MODE_LOOLSM: _cell(loo, share), "bias": bias}
                     )
         return cells

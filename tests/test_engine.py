@@ -26,12 +26,13 @@ from lsmc.engine import (
     MODE_LOOLSM,
     MODE_LSM,
     MODE_LSM2,
+    BackwardStack,
     _std_error,
     apply_control_variate,
     continue_mask,
     payout_matrix,
     price_backward,
-    price_backward_stack,
+    step_back,
 )
 from lsmc.market import GbmModel, PathSet, generate_paths, split_pool, uniform_schedule
 
@@ -236,7 +237,11 @@ BASKET_MODEL = GbmModel(
 
 
 class TestStackedPass:
-    """Pricing consecutive sets as one stack equals pricing each set alone, bit for bit."""
+    """Pricing consecutive sets as one stack equals pricing each set alone, bit for bit.
+
+    Each composition is one step_back over the whole pool, one stack per run
+    of sets, as experiment 2 prices a chunk.
+    """
 
     # six sets; each tuple of (first, stop) runs covers them once
     COMPOSITIONS = (
@@ -251,12 +256,15 @@ class TestStackedPass:
         policy = price_backward(sets[0], payoff, basis).policy  # any policy of the right shape
         alone = [price_backward(paths, payoff, basis, policy=policy) for paths in sets]
         n = sets[0].n_paths
+        z = payout_matrix(pool, payoff)
         for composition in TestStackedPass.COMPOSITIONS:
-            for first, stop in composition:
-                block = dataclasses.replace(
-                    sets[first], values=pool.values[first * n : stop * n]
-                )
-                stacked = price_backward_stack(block, stop - first, payoff, basis, policy=policy)
+            groups = [
+                [BackwardStack(z, slice(first * n, stop * n), n, basis.m, policy)]
+                for first, stop in composition
+            ]
+            step_back(pool, z, basis, groups)
+            for (first, stop), (stack,) in zip(composition, groups):
+                stacked = stack.results(sets[first:stop], basis)
                 for want, got in zip(alone[first:stop], stacked):
                     # LSM, LOOLSM, European and LSM2
                     for a, b in zip(want[:2] + want[3:], got[:2] + got[3:]):

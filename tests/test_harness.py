@@ -8,6 +8,7 @@ import io
 import math
 import os
 import tempfile
+import time
 import tracemalloc
 
 import pytest
@@ -280,6 +281,16 @@ class TestExperiment2:
             assert b.mean_bias == pytest.approx(a.mean_bias, abs=1e-12)
             assert b.flips_total == a.flips_total
 
+    def test_wall_ms_is_the_busy_time_of_the_run(self):
+        # each row reports a share of its stacks' steps; together they cannot
+        # exceed the run's wall time on every thread
+        for threads in (1, 2):
+            t0 = time.perf_counter()
+            report = run_experiment2(tiny_exp2(threads=threads))
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            assert all(row.wall_ms > 0.0 for row in report.rows)
+            assert sum(row.wall_ms for row in report.rows) <= wall_ms * threads
+
     def test_requires_single_key(self):
         with pytest.raises(ConfigError, match="one strike"):
             run_experiment2(tiny_exp2(keys=(90.0, 100.0)))
@@ -468,6 +479,11 @@ class TestCli:
             ("experiment1 --case put_single", "rate = 300\nkeys = 100\nn_paths = 400\nn_mc = 2"),
             ("price --case put_single --strike 1e300 --paths 2000", None),
             ("experiment1 --case bestof_call", "strike = 1e300\nn_paths = 400\nn_mc = 2"),
+            (
+                "price --case basket_call --mode LOOLSM --spot 1.5e76 --strike 1.5e76"
+                " --paths 2000",
+                None,
+            ),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
@@ -475,7 +491,8 @@ class TestCli:
              "out_dir_missing", "off_grid_key", "nan_spot", "inf_strike", "minus_inf_rate",
              "nan_dividend", "inf_vol", "nan_correlation", "inf_maturity", "nan_key",
              "huge_rate", "rate_700", "rate_minus_700", "dividend_minus_700",
-             "basis_power_overflow", "price_strike_overflow", "bestof_strike_overflow"],
+             "basis_power_overflow", "price_strike_overflow", "bestof_strike_overflow",
+             "price_column_norm_overflow"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):
@@ -496,6 +513,18 @@ class TestCli:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.err[len("error: ")] not in "\"'"
 
+    def test_price_reads_only_its_own_basis(self, capsys):
+        # the m=5 put basis has degree 3, so a spot of 1e50 keeps its columns
+        # finite; the experiment-2 m_list, which price never fits, reaches 10
+        per_spot = []
+        for spot in ("100", "1e50"):
+            argv = ["price", "--case", "put_single", "--spot", spot, "--strike", spot]
+            assert main(argv + ["--paths", "2000"]) == 0
+            out = capsys.readouterr().out
+            price = next(line.split()[1] for line in out.splitlines() if line.startswith("price"))
+            per_spot.append(float(price) / float(spot))
+        assert per_spot[1] == pytest.approx(per_spot[0], rel=1e-6)
+
     def test_config_loader_reads_files(self, tmp_path):
         cfg = tmp_path / "a.cfg"
         cfg.write_text("vol = 0.3\n")
@@ -513,10 +542,10 @@ def _entries(draw, values):
 @st.composite
 def experiment2_config_files(draw):
     """Tiny experiment-2 config files; some carry one bad field, one nan or
-    infinite float, or a rate or dividend that overflows the discount factor
-    or the forward growth, and some split the pool into sets that do not
-    divide it or break its antithetic pairs.  Also says whether the file
-    holds a float the config must refuse."""
+    infinite float, one huge finite float, or a rate or dividend that
+    overflows the discount factor or the forward growth, and some split the
+    pool into sets that do not divide it or break its antithetic pairs.  Also
+    says whether the file holds a float the config must refuse."""
     case = draw(st.sampled_from(["put_single", "basket_call"]))
     sizes = [2, 4, 5] if case == "put_single" else [6, 10, 16]
     lines = {
@@ -534,6 +563,9 @@ def experiment2_config_files(draw):
     if field is not None:
         lines[field] = bad[field]
     floats = ["keys", "spot", "strike", "rate", "dividend", "vol", "correlation", "maturity"]
+    huge = draw(st.sampled_from([None] * 4 + floats))  # before the floats that must be refused
+    if huge is not None:
+        lines[huge] = draw(st.sampled_from(["1e300", "-1e300", "1e154", "-1e154", "1e76"]))
     non_finite = draw(st.sampled_from([None] * 4 + floats))
     if non_finite is not None:
         lines[non_finite] = draw(st.sampled_from(["nan", "inf", "-inf"]))
