@@ -163,6 +163,9 @@ class ExperimentConfig:
         for name in _FLOAT_FIELDS:
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("spot", "strike"):  # also where the case reads its keys instead
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.keys:
             raise ConfigError("at least one strike/spot key is required")
         bad = [e for e in self.estimators if e not in (MODE_LSM, MODE_LSM2, MODE_LOOLSM)]
@@ -225,20 +228,26 @@ class ExperimentConfig:
         its regressions has.  A column's squared norm, a sum of rows squares,
         must stay a finite positive float for the spot's start value and root
         mean square at maturity, each raised to the bases' highest monomial
-        degree, and for the strike's start and discounted value."""
+        degree, and for the strike's start and discounted value.  The spot's
+        log scale is widened by the largest of rows standard normal draws,
+        about sqrt(2 log rows), times its log volatility, since the largest
+        path's power, not the mean, fills the column norm first."""
         degree = max(sum(t.exponents) for m in sizes for t in basis_family(self.case, m).terms)
         discount, growth = -self.rate * self.maturity, (self.rate - self.dividend) * self.maturity
         # the mean 2p-th power of a lognormal price is S^2p exp(2p growth + p(2p-1) vol^2 T)
         spread = growth + (degree - 0.5) * self.vol * self.vol * self.maturity
+        tail = math.sqrt(2 * math.log(rows)) * self.vol * math.sqrt(self.maturity)
         bestof = self.case == BESTOF_CALL
-        scales = [("spot", s, spread, degree) for s in (self.keys if bestof else (self.spot,))]
-        scales += [("strike", k, discount, 1) for k in ((self.strike,) if bestof else self.keys)]
-        for name, scale, rate, power in scales:
-            log_scale = max(abs(math.log(scale)), abs(math.log(scale) + rate))
+        spots, strikes = (self.keys, (self.strike,)) if bestof else ((self.spot,), self.keys)
+        scales = [("spot", s, spread, tail, degree) for s in spots]
+        scales += [("strike", k, discount, 0.0, 1) for k in strikes]
+        for name, scale, rate, margin, power in scales:
+            log_scale = max(abs(math.log(scale)), abs(math.log(scale) + rate)) + margin
             if not power * log_scale + math.log(rows) / 2 < _LOG_SQRT_MAX:
                 raise ConfigError(
-                    f"{name} {scale} scaled by exp({rate:.6g}) over maturity {self.maturity},"
-                    f" raised to the power {power} and summed in squares over {rows} paths,"
+                    f"{name} {scale} scaled by exp({rate:.6g}) over maturity {self.maturity}"
+                    f" and by exp({margin:.6g}) on its largest path, raised to the power"
+                    f" {power} and summed in squares over {rows} paths,"
                     " must stay a finite positive float"
                 )
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.special import owens_t
-from scipy.stats import norm
+from scipy.special import ndtr, owens_t
 
 from .market import ExerciseSchedule, GbmModel
 
@@ -78,8 +77,8 @@ def bs_european_put(
     d1 = (math.log(spot / strike) + (rate - dividend + 0.5 * vol * vol) * expiry) / v
     d2 = d1 - v
     return float(
-        strike * math.exp(-rate * expiry) * norm.cdf(-d2)
-        - spot * math.exp(-dividend * expiry) * norm.cdf(-d1)
+        strike * math.exp(-rate * expiry) * ndtr(-d2)
+        - spot * math.exp(-dividend * expiry) * ndtr(-d1)
     )
 
 
@@ -97,9 +96,9 @@ def bivariate_normal_cdf(a: float, b: float, rho: float) -> float:
     For |rho| < 1 this is Owen's (1956) closed form in his T function,
     Phi(a)/2 + Phi(b)/2 - T(a, (b - rho a)/(a s)) - T(b, (a - rho b)/(b s)) - beta
     with s = sqrt(1 - rho^2) and beta = 1/2 when a b < 0, or a b = 0 and
-    a + b < 0; T comes from scipy (Patefield-Tandy), and the absolute error
-    against direct numerical integration is ~1e-15.  The infinite arguments
-    and rho = +-1 are exact limits.
+    a + b < 0; Phi is scipy's ndtr and T its owens_t (Patefield-Tandy), and
+    the absolute error against direct numerical integration is ~1e-15.  The
+    infinite arguments and rho = +-1 are exact limits.
     """
     if not -1.0 <= rho <= 1.0:
         raise ValueError("correlation must lie in [-1, 1]")
@@ -110,19 +109,19 @@ def bivariate_normal_cdf(a: float, b: float, rho: float) -> float:
     if a == math.inf and b == math.inf:
         return 1.0
     if a == math.inf:
-        return float(norm.cdf(b))
+        return float(ndtr(b))
     if b == math.inf:
-        return float(norm.cdf(a))
+        return float(ndtr(a))
     if rho == 1.0:
-        return float(norm.cdf(min(a, b)))
+        return float(ndtr(min(a, b)))
     if rho == -1.0:
-        return float(max(0.0, norm.cdf(a) + norm.cdf(b) - 1.0))
+        return float(max(0.0, ndtr(a) + ndtr(b) - 1.0))
     if a == 0.0 and b == 0.0:
         return 0.25 + math.asin(rho) / (2.0 * math.pi)
     den = math.sqrt((1.0 - rho) * (1.0 + rho))
     beta = 0.5 if a * b < 0.0 or (a * b == 0.0 and a + b < 0.0) else 0.0
     value = (
-        0.5 * (norm.cdf(a) + norm.cdf(b))
+        0.5 * (ndtr(a) + ndtr(b))
         - _owens_term(a, b, rho, den)
         - _owens_term(b, a, rho, den)
         - beta

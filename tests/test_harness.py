@@ -484,6 +484,9 @@ class TestCli:
                 " --paths 2000",
                 None,
             ),
+            ("price --case basket_call --mode LOOLSM --spot 4e75 --strike 4e75 --paths 2000", None),
+            ("experiment2 --case put_single", "strike = -1e300"),
+            ("experiment1 --case bestof_call", "spot = 0"),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
@@ -492,7 +495,8 @@ class TestCli:
              "nan_dividend", "inf_vol", "nan_correlation", "inf_maturity", "nan_key",
              "huge_rate", "rate_700", "rate_minus_700", "dividend_minus_700",
              "basis_power_overflow", "price_strike_overflow", "bestof_strike_overflow",
-             "price_column_norm_overflow"],
+             "price_column_norm_overflow", "price_largest_path_overflow",
+             "put_unread_negative_strike", "bestof_unread_zero_spot"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):
@@ -566,6 +570,8 @@ def experiment2_config_files(draw):
     huge = draw(st.sampled_from([None] * 4 + floats))  # before the floats that must be refused
     if huge is not None:
         lines[huge] = draw(st.sampled_from(["1e300", "-1e300", "1e154", "-1e154", "1e76"]))
+    # a negative scale is refused whether or not the case reads that field
+    negative_scale = huge in ("keys", "spot", "strike") and lines[huge].startswith("-")
     non_finite = draw(st.sampled_from([None] * 4 + floats))
     if non_finite is not None:
         lines[non_finite] = draw(st.sampled_from(["nan", "inf", "-inf"]))
@@ -575,7 +581,7 @@ def experiment2_config_files(draw):
     if overflow is not None:
         lines[overflow[0]] = overflow[1]
     text = "".join(f"{key} = {value}\n" for key, value in lines.items())
-    return case, text, non_finite is not None or overflow is not None
+    return case, text, negative_scale or non_finite is not None or overflow is not None
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,14 +5,20 @@ integration, and the Monte Carlo European prices are reconciled
 with the analytic oracles at one million paths.
 """
 
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 from scipy.stats import norm
 
+import lsmc
 from lsmc.contracts import BASKET_CALL, BESTOF_CALL, PUT_SINGLE, PayoffSpec
 from lsmc.engine import MODE_EUROPEAN, payout_matrix, pricing_result
 from lsmc.market import GbmModel, generate_paths, uniform_schedule
@@ -144,6 +150,66 @@ class TestBivariateNormalCdf:
     def test_rejects_bad_correlation(self):
         with pytest.raises(ValueError, match=r"\[-1, 1\]"):
             bivariate_normal_cdf(0.0, 0.0, 1.5)
+
+
+def bs_put_by_norm(spot, vol, rate, dividend, strike, expiry):
+    """bs_european_put's positive-volatility formula with scipy.stats' Phi."""
+    v = vol * math.sqrt(expiry)
+    d1 = (math.log(spot / strike) + (rate - dividend + 0.5 * vol * vol) * expiry) / v
+    d2 = d1 - v
+    return float(
+        strike * math.exp(-rate * expiry) * norm.cdf(-d2)
+        - spot * math.exp(-dividend * expiry) * norm.cdf(-d1)
+    )
+
+
+def bvn_by_norm(a, b, rho):
+    """bivariate_normal_cdf's limits and Owen formula with scipy.stats' Phi."""
+    if a == -math.inf or b == -math.inf:
+        return 0.0
+    if a == math.inf and b == math.inf:
+        return 1.0
+    if a == math.inf or b == math.inf or rho == 1.0:
+        return float(norm.cdf(min(a, b)))
+    if rho == -1.0:
+        return float(max(0.0, norm.cdf(a) + norm.cdf(b) - 1.0))
+    if a == 0.0 and b == 0.0:
+        return 0.25 + math.asin(rho) / (2.0 * math.pi)
+    den = math.sqrt((1.0 - rho) * (1.0 + rho))
+
+    def term(h, k):
+        return math.copysign(0.25, k) if h == 0.0 else float(owens_t(h, (k - rho * h) / (h * den)))
+
+    beta = 0.5 if a * b < 0.0 or (a * b == 0.0 and a + b < 0.0) else 0.0
+    value = 0.5 * (norm.cdf(a) + norm.cdf(b)) - term(a, b) - term(b, a) - beta
+    return float(min(1.0, max(0.0, value)))
+
+
+class TestStandardNormalCdf:
+    """The oracles take Phi from scipy.special.ndtr, which scipy.stats'
+    norm.cdf calls at loc 0 and scale 1, so importing lsmc need not load
+    scipy.stats and no oracle value moves."""
+
+    def test_cli_import_loads_no_scipy_stats(self):
+        # a fresh interpreter, since this module itself imports scipy.stats
+        probe = ("import sys, lsmc.cli;"
+                 " print([m for m in sys.modules if m.startswith('scipy.stats')])")
+        env = {**os.environ, "PYTHONPATH": str(Path(lsmc.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert done.stdout.strip() == "[]"
+
+    def test_oracles_equal_their_scipy_stats_formulas_bit_for_bit(self):
+        x = np.concatenate([np.linspace(-40.0, 40.0, 20_001), [-np.inf, np.inf, -0.0]])
+        assert (ndtr(x) == norm.cdf(x)).all()
+        for args in itertools.product((1.0, 80.0, 100.0, 120.0, 1e4), (0.05, 0.2, 1.0),
+                                      (-0.02, 0.0, 0.05), (0.0, 0.1), (80.0, 100.0, 120.0),
+                                      (0.1, 1.0, 5.0)):
+            assert bs_european_put(*args) == bs_put_by_norm(*args), args
+        grid = (-math.inf, -8.0, -2.5, -0.4, 0.0, 0.3, 1.1, 2.7, 8.0, math.inf)
+        for rho in (-1.0, -0.95, -0.3, 0.0, 0.5, 0.999, 1.0):
+            for a, b in itertools.product(grid, grid):
+                assert bivariate_normal_cdf(a, b, rho) == bvn_by_norm(a, b, rho), (a, b, rho)
 
 
 class TestBestOfTwoCall:
