@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         exp.add_argument("--config", help="key = value overrides file")
         exp.add_argument("--out", help="CSV output path")
         exp.add_argument("--scale", default="desk", choices=("desk", "paper"))
-        exp.add_argument("--threads", type=int, default=1)
+        exp.add_argument("--threads", type=int)  # default: the config file, else 1
 
     oracle = sub.add_parser("oracle", help="print reference prices for a case key")
     oracle.add_argument("--case", required=True, choices=PAYOFF_KINDS)
@@ -88,7 +88,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace, experiment: int) -> int:
     config = harness.default_config(args.case, experiment=experiment, scale=args.scale)
     overrides = harness.load_config_file(args.config) if args.config else {}
-    if args.threads != 1:
+    if args.threads is not None:
         overrides["threads"] = args.threads
     if args.out:
         overrides["out"] = args.out

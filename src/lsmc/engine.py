@@ -10,7 +10,9 @@ matrix is factorized once and both value vectors are projected through it.
 Given an exercise policy fitted on other paths, the same pass also values the
 two-pass estimator on that design matrix, and the maturity payout it starts
 from is the European Monte Carlo result.  step_back is the one date loop of
-every pass, for experiment 1 and `lsmc price` as for experiment 2.
+every pass, for experiment 1 and `lsmc price` as for experiment 2, and fits
+only through factor_stack and fit_leading; tests/reference.py repeats it for
+one set, date by date, and must match its values and flips bit for bit.
 """
 
 from __future__ import annotations
@@ -85,20 +87,6 @@ class BackwardPrices(NamedTuple):
     lsm2: PricingResult | None
 
 
-@dataclass(frozen=True, eq=False)
-class DateTrace:
-    """Per-date regression internals of the leave-one-out value vector,
-    recorded when a trace list is supplied."""
-
-    date_index: int
-    payout: np.ndarray
-    response: np.ndarray
-    fitted: np.ndarray
-    loo_fitted: np.ndarray
-    leverage: np.ndarray
-    rank: int
-
-
 def continue_mask(z, c):
     """True where the option is held past the date (elementwise on arrays).
 
@@ -151,7 +139,6 @@ def price_backward(
     paths: PathSet,
     payoff: PayoffSpec,
     basis: BasisSpec,
-    trace: list[DateTrace] | None = None,
     policy: ExercisePolicy | None = None,
 ) -> BackwardPrices:
     """Every estimator's price on one path set, stepped back as one stack.
@@ -162,7 +149,7 @@ def price_backward(
     paths, a third value vector follows its decisions with no regression: the
     two-pass estimator MODE_LSM2, which reports the policy's ranks and no
     flips.  Also returns the classical exercise policy and the European
-    result.  The trace, when given, receives one entry per date.
+    result.
     """
     if basis.case != payoff.kind:
         raise ValueError(f"basis built for {basis.case!r}, payoff is {payoff.kind!r}")
@@ -180,7 +167,7 @@ def price_backward(
         )
 
     z = payout_matrix(paths, payoff)
-    stack = BackwardStack(z, slice(None), paths.n_paths, basis.m, policy, trace)
+    stack = BackwardStack(z, slice(None), paths.n_paths, basis.m, policy)
     step_back(paths, z, basis, [[stack]])
     return stack.results([paths], basis)[0]
 
@@ -223,12 +210,11 @@ class BackwardStack:
     """
 
     def __init__(
-        self, z: np.ndarray, rows: slice, n: int, m: int,
-        policy: ExercisePolicy | None = None, trace: list[DateTrace] | None = None,
+        self, z: np.ndarray, rows: slice, n: int, m: int, policy: ExercisePolicy | None = None
     ) -> None:
         self.european = z[rows, -1].reshape(-1, n)
         n_sets, n_dates = self.european.shape[0], z.shape[1]
-        self.rows, self.m, self.policy, self.trace = rows, m, policy, trace
+        self.rows, self.m, self.policy = rows, m, policy
         self.busy_s = 0.0
         # each column is stored contiguously, so every elementwise step
         # runs over whole rows of N paths instead of an innermost axis of 2
@@ -245,8 +231,7 @@ class BackwardStack:
     def step(self, i: int, zi: np.ndarray, x: np.ndarray, factor: StackFactorization) -> None:
         """Date i: zi is its (n_sets, n) payout, x its (n_sets, n, m) design stack
         and factor that of a stack, x or wider, whose leading m columns are x."""
-        value = self.value
-        fit = fit_leading(factor, value, x.shape[-1])
+        fit = fit_leading(factor, self.value, x.shape[-1])
         if not fit.rank.all():
             raise NumericalError(f"rank-zero regression at exercise date index {i}")
         c_loo = loo_predictions(fit)
@@ -255,22 +240,9 @@ class BackwardStack:
         keep_full = continue_mask(zi[..., None], fit.fitted)
         keep_loo = continue_mask(zi[..., None], c_loo)
         self.flips[..., i] = np.count_nonzero(keep_full != keep_loo, axis=-2)
-        if self.trace is not None:
-            self.trace.extend(
-                DateTrace(
-                    date_index=i,
-                    payout=zi[k].copy(),
-                    response=value[k, :, 1].copy(),
-                    fitted=fit.fitted[k, :, 1].copy(),
-                    loo_fitted=c_loo[k, :, 1].copy(),
-                    leverage=fit.leverage[k],
-                    rank=int(fit.rank[k]),
-                )
-                for k in range(zi.shape[0])
-            )
         self.keep[..., 0] = keep_full[..., 0]
         self.keep[..., 1] = keep_loo[..., 1]
-        np.copyto(value, zi[..., None], where=~self.keep)
+        np.copyto(self.value, zi[..., None], where=~self.keep)
         if self.policy is not None:
             c = x @ self.policy.coefficients[i]
             np.copyto(self.held, zi, where=~continue_mask(zi, c))

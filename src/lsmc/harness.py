@@ -179,7 +179,7 @@ class ExperimentConfig:
             raise ConfigError(f"n_paths {self.n_paths} must exceed basis_m {self.basis_m}")
         if self.n_mc < 1 or not self.n_mc_list or min(self.n_mc_list) < 1 or not self.m_list:
             raise ConfigError("n_mc, n_mc_list and m_list must be non-empty and positive")
-        for name in ("n_mc_list", "m_list"):
+        for name in ("keys", "estimators", "n_mc_list", "m_list"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} repeats an entry: {values}")

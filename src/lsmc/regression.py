@@ -13,7 +13,9 @@ the SVD of the small triangular factor R.  The orthonormal factor is then
 formed from the reflectors in compact WY form (Schreiber & Van Loan, 1989) by
 matrix products, where LAPACK would form Q one reflector at a time.  The QR
 (factor_stack) and the rest (fit_leading) are separate steps, so one QR of a
-wide design serves fits on any of its leading columns.
+wide design serves fits on any of its leading columns.  The pair is the only
+fit API, called alike by the engine and the tests (the reference backward
+loop among them), on an (S, N, M) design stack with an (S, N, k) response.
 """
 
 from __future__ import annotations
@@ -36,48 +38,20 @@ def _first_nonfinite(a: np.ndarray) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class RegressionFit:
-    """Result of one least-squares fit, or of a stack of independent fits.
+    """Independent least-squares fits of a stack of S sets, each with k response columns.
 
-    beta      coefficients (M, or M x k for an N x k response)
-    fitted    projection of the response onto the column space (C = H y)
+    beta      coefficients (S, M, k)
+    fitted    projection of the response onto the column space (C = H y), (S, N, k)
     residuals y - fitted
-    leverage  diagonal of the projector H, clipped to [0, 1]; shared by every
-              response column
-    rank      numerical rank of the design matrix
-
-    A stacked fit carries a leading set axis on every array, and rank is then
-    an int array with one entry per set.
+    leverage  diagonal of each projector H, clipped to [0, 1], (S, N), for every column
+    rank      numerical rank of each design matrix, (S,)
     """
 
     beta: np.ndarray
     fitted: np.ndarray
     residuals: np.ndarray
     leverage: np.ndarray
-    rank: int | np.ndarray
-
-
-def fit_least_squares(X: np.ndarray, y: np.ndarray) -> RegressionFit:
-    """Least-squares fit of y (N, or N x k) on the columns of X.
-
-    Singular values of the column-equilibrated matrix below
-    max(N, M) * eps * sigma_max are treated as zero; directions below the
-    threshold are dropped, so rank-deficient systems (e.g. a payoff column
-    that is an exact linear combination of price columns) are handled
-    deterministically.  When the fit is rank deficient, beta is the residual
-    minimizer with the smallest norm in the column-equilibrated basis.
-
-    An N x k response is fitted column by column through one factorization of
-    X; each column's fit is bit-identical to fitting that column alone.
-
-    Raises ValueError on non-finite input, naming the offending entry.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"design matrix must be 2-d, got shape {X.shape}")
-    fit = fit_least_squares_stack(X[None], np.asarray(y, dtype=float)[None])
-    return RegressionFit(
-        fit.beta[0], fit.fitted[0], fit.residuals[0], fit.leverage[0], int(fit.rank[0])
-    )
+    rank: np.ndarray
 
 
 def _k_major(n_sets: int, n: int, k: int) -> np.ndarray:
@@ -104,7 +78,8 @@ class StackFactorization(NamedTuple):
 
 def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R, V and T of an (S, N, M) stack whose matrices are each Fortran-ordered;
-    V is a view of a, which is overwritten."""
+    V is a view of a, which is overwritten.  The QR is scipy's dgeqrf, which
+    unlike numpy's qr releases the interpreter lock."""
     n_sets, n, m = a.shape
     k = min(n, m)
     tau = np.empty((n_sets, k))
@@ -126,26 +101,17 @@ def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _leading_svd(r, v, t, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD of the leading m columns of what _householder factored: the
-    SVD of R[:k, :m], then U = Q [U_R; 0] from the first k reflectors."""
+    SVD of R[:k, :m], then U = Q [U_R; 0] from the first k reflectors.
+
+    For N >= 11 m / 6 this is the route LAPACK's gesdd takes, so s and V^T
+    are bit-identical to np.linalg.svd and U agrees to rounding; below that
+    size every factor agrees to rounding."""
     k = min(v.shape[1], m)
     ur, s, vt = np.linalg.svd(r[:, :k, :m], full_matrices=False)
     v = v[..., :k]
     u = v @ -(t[:, :k, :k] @ (v[:, :k, :].transpose(0, 2, 1) @ ur))
     u[:, :k, :] += ur
     return u, s, vt
-
-
-def _thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """np.linalg.svd(a, full_matrices=False) of an (S, N, M) stack whose
-    matrices are each Fortran-ordered; a is overwritten.
-
-    Householder QR of each matrix (scipy's dgeqrf, which unlike numpy's qr
-    releases the interpreter lock), the SVD of the stacked R, then U formed
-    in compact WY form.  For N >= 11 M / 6 this is the route LAPACK's gesdd
-    takes, so R, s and V^T are bit-identical to np.linalg.svd and U agrees to
-    rounding; below that size every factor agrees to rounding.
-    """
-    return _leading_svd(*_householder(a), a.shape[2])
 
 
 def factor_stack(X: np.ndarray) -> StackFactorization:
@@ -175,14 +141,26 @@ def factor_stack(X: np.ndarray) -> StackFactorization:
 
 
 def fit_leading(factor: StackFactorization, y: np.ndarray, m: int) -> RegressionFit:
-    """Fits of y (S, N) or (S, N, k) on the leading m columns of the factored
-    stack, with fit_least_squares' rank rule at max(N, m)."""
+    """Fits of y (S, N, k) on the leading m columns of the factored stack.
+
+    Singular values of the column-equilibrated matrix below
+    max(N, m) * eps * sigma_max are treated as zero; directions below the
+    threshold are dropped, so rank-deficient systems (e.g. a payoff column
+    that is an exact linear combination of price columns) are handled
+    deterministically.  When a fit is rank deficient, beta is the residual
+    minimizer with the smallest norm in the column-equilibrated basis.  Sets
+    are projected in groups of equal rank, so a rank-deficient set does not
+    change the others, and each response column's fit is bit-identical to
+    fitting that column alone.
+
+    Raises ValueError on a non-finite response, naming the offending entry.
+    """
     n_sets, n, _ = factor.v.shape
     if not 1 <= m <= factor.norms.shape[1]:
         raise ValueError(f"cannot fit {m} leading columns of {factor.norms.shape[1]}")
     y = np.asarray(y, dtype=float)
-    if y.ndim not in (2, 3) or y.shape[:2] != (n_sets, n):
-        raise ValueError(f"response must have shape ({n},) or ({n}, k), got {y.shape[1:]}")
+    if y.ndim != 3 or y.shape[:2] != (n_sets, n):
+        raise ValueError(f"response must have shape ({n_sets}, {n}, k), got {y.shape}")
     if not np.isfinite(y).all():
         t, i = _first_nonfinite(y)[:2]
         in_set = "" if n_sets == 1 else f" of set {t}"
@@ -194,7 +172,7 @@ def fit_leading(factor: StackFactorization, y: np.ndarray, m: int) -> Regression
 
     # One matrix-vector product per set and contiguous column: a gemm over
     # the columns would reorder the sums and move the last bits of every fit.
-    cols = np.ascontiguousarray(np.moveaxis(y.reshape(n_sets, n, -1), -1, 1))
+    cols = np.ascontiguousarray(np.moveaxis(y, -1, 1))
     k = cols.shape[1]
     beta = np.empty((n_sets, m, k))
     fitted = _k_major(n_sets, n, k)
@@ -209,21 +187,7 @@ def fit_leading(factor: StackFactorization, y: np.ndarray, m: int) -> Regression
             beta[sel, :, j] = (vr @ (uy / s[sel, :r])[..., None])[..., 0] / norms[sel]
             fitted[sel, :, j] = (ur @ uy[..., None])[..., 0]
         leverage[sel] = np.minimum(np.einsum("sij,sij->si", ur, ur), 1.0)
-    if y.ndim == 2:
-        beta, fitted = beta[..., 0], fitted[..., 0]
     return RegressionFit(beta, fitted, y - fitted, leverage, rank)
-
-
-def fit_least_squares_stack(X: np.ndarray, y: np.ndarray) -> RegressionFit:
-    """Independent least-squares fits of a stack of S systems, as fit_least_squares.
-
-    X is (S, N, M) and y is (S, N) or (S, N, k).  Every numpy call covers the
-    whole stack, and the stacked SVD, products and reductions repeat the
-    per-matrix arithmetic of a single fit, so each set's fit is bit-identical
-    to fitting that set alone.  Sets are projected in groups of equal rank,
-    so a rank-deficient set does not change the others.
-    """
-    return fit_leading(factor_stack(X), y, np.shape(X)[-1])
 
 
 def loo_fallback_mask(fit: RegressionFit) -> np.ndarray:
@@ -231,22 +195,16 @@ def loo_fallback_mask(fit: RegressionFit) -> np.ndarray:
     return (1.0 - fit.leverage) < LEVERAGE_EPS
 
 
-def _by_row(fit: RegressionFit, a: np.ndarray) -> np.ndarray:
-    """Per-row array shaped to broadcast against fit.residuals."""
-    return a[..., None] if fit.residuals.ndim > fit.leverage.ndim else a
-
-
 def loo_predictions(fit: RegressionFit) -> np.ndarray:
     """Leave-one-out predictions C' = C - h e / (1 - h), elementwise.
 
     Each entry equals the prediction at row n of the regression refit without
-    row n; an N x k fit gives one column per response column.  Rows with
-    leverage numerically equal to 1 fall back to the full-fit value and raise
-    a RuntimeWarning; callers interested in the count should inspect
-    loo_fallback_mask.
+    row n, one column per response column.  Rows with leverage numerically
+    equal to 1 fall back to the full-fit value and raise a RuntimeWarning;
+    callers interested in the count should inspect loo_fallback_mask.
     """
-    fallback = _by_row(fit, loo_fallback_mask(fit))
-    h = _by_row(fit, fit.leverage)
+    fallback = loo_fallback_mask(fit)[..., None]
+    h = fit.leverage[..., None]
     loo = fit.fitted - h * fit.residuals / np.where(fallback, 1.0, 1.0 - h)
     if fallback.any():
         loo = np.where(fallback, fit.fitted, loo)

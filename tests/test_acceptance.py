@@ -28,7 +28,8 @@ from lsmc.oracles import (
     binomial_bermudan_put,
     bs_european_put,
 )
-from lsmc.regression import fit_least_squares, loo_predictions
+from lsmc.regression import factor_stack, fit_leading, loo_predictions
+from reference import checked_reference
 
 PUT_MODEL = GbmModel(spot=[100.0], rate=0.05, dividend=[0.02], vol=[0.20], correlation=[[1.0]])
 PUT_SCHEDULE = uniform_schedule(5, 1.0)
@@ -74,12 +75,12 @@ def test_criterion_1_loo_exactness():
             n = int(rng.integers(m + 2, 201))
             x = np.column_stack([np.ones(n), rng.standard_normal((n, m - 1))])
             y = rng.standard_normal(n) * float(rng.uniform(0.5, 3.0))
-            fit = fit_least_squares(x, y)
+            fit = fit_leading(factor_stack(x[None]), y[None, :, None], m)
+            leverage, loo = fit.leverage[0], loo_predictions(fit)[0, :, 0]
 
-            assert (fit.leverage >= 0.0).all() and (fit.leverage <= 1.0).all()
-            assert abs(fit.leverage.sum() - fit.rank) <= 1e-8
+            assert (leverage >= 0.0).all() and (leverage <= 1.0).all()
+            assert abs(leverage.sum() - fit.rank[0]) <= 1e-8
 
-            loo = loo_predictions(fit)
             brute = np.empty(n)
             for i in range(n):
                 keep = np.arange(n) != i
@@ -196,10 +197,9 @@ def test_criterion_7_property_suite():
         paths = generate_paths(PUT_MODEL, PUT_SCHEDULE, 4000, seed=2718)
 
         # flip characterization and fitted-value decomposition, date by date
-        trace = []
-        _, result, *_ = price_backward(paths, payoff, basis, trace=trace)
-        assert result.fallback_count == 0
-        for t in trace:
+        priced, reference = checked_reference(paths, payoff, basis)
+        assert priced.loo.fallback_count == 0
+        for t in reference.dates:
             blend = (1.0 - t.leverage) * t.loo_fitted + t.leverage * t.response
             assert np.allclose(t.fitted, blend, rtol=1e-10, atol=1e-10)
             keep_full = (t.fitted >= t.payout) | (t.payout == 0.0)

@@ -35,6 +35,7 @@ from lsmc.engine import (
     step_back,
 )
 from lsmc.market import GbmModel, PathSet, generate_paths, split_pool, uniform_schedule
+from reference import checked_reference
 
 PUT_MODEL = GbmModel(spot=[100.0], rate=0.05, dividend=[0.02], vol=[0.20], correlation=[[1.0]])
 PUT_SCHEDULE = uniform_schedule(5, 1.0)
@@ -93,10 +94,9 @@ class TestToyCrossSection:
     def test_flip_events_match_the_closed_form_characterization(self):
         # decision values: C = (11, 11, 11), C' = (24, 28/3, 16) against Z = (14, 10, 8);
         # path 2 flips continue->exercise, path 1 exercise->continue, path 3 is stable
-        trace = []
-        _, result, *_ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS, trace=trace)
-        assert result.flip_counts == (2,)
-        (t,) = trace
+        priced, reference = checked_reference(toy_paths(), TOY_PAYOFF, TOY_BASIS)
+        assert priced.loo.flip_counts == (2,)
+        (t,) = reference.dates
         assert t.fitted == pytest.approx([11.0, 11.0, 11.0], abs=1e-12)
         assert t.loo_fitted == pytest.approx([24.0, 28.0 / 3.0, 16.0], abs=1e-12)
         d_plus = (t.loo_fitted < t.payout) & (t.payout <= t.fitted)
@@ -185,25 +185,26 @@ class TestEstimatorIdentities:
 
 
 @pytest.fixture(scope="module")
-def traced_run():
-    trace = []
-    _, result, *_ = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS, trace=trace)
-    return result, trace
+def reference_run():
+    """The desk run's leave-one-out result and its date records, from a
+    reference pass checked against the engine's."""
+    priced, reference = checked_reference(desk_paths(), PUT_PAYOFF, PUT_BASIS)
+    return priced.loo, reference.dates
 
 
 class TestSeededRunDiagnostics:
     """Per-date identities on a realistic seeded run."""
 
-    def test_fitted_value_decomposition(self, traced_run):
-        _, trace = traced_run
-        for t in trace:
+    def test_fitted_value_decomposition(self, reference_run):
+        _, dates = reference_run
+        for t in dates:
             blend = (1.0 - t.leverage) * t.loo_fitted + t.leverage * t.response
             assert np.allclose(t.fitted, blend, rtol=1e-10, atol=1e-10)
 
-    def test_flip_sets_match_closed_form_events(self, traced_run):
-        result, trace = traced_run
+    def test_flip_sets_match_closed_form_events(self, reference_run):
+        result, dates = reference_run
         assert result.fallback_count == 0
-        by_date = {t.date_index: t for t in trace}
+        by_date = {t.date_index: t for t in dates}
         for i, flips in enumerate(result.flip_counts):
             t = by_date[i]
             keep_full = (t.fitted >= t.payout) | (t.payout == 0.0)
@@ -216,11 +217,11 @@ class TestSeededRunDiagnostics:
             np.testing.assert_array_equal(actual, (d_plus | d_minus) & (t.payout > 0.0))
             assert flips == int(actual.sum())
 
-    def test_one_step_bias_bound(self, traced_run):
+    def test_one_step_bias_bound(self, reference_run):
         # at the last regression date both runs share the response, so the
         # one-step value gap obeys the flip-payload bound path by path
-        _, trace = traced_run
-        t = max(trace, key=lambda d: d.date_index)
+        _, dates = reference_run
+        t = max(dates, key=lambda d: d.date_index)
         keep_full = (t.fitted >= t.payout) | (t.payout == 0.0)
         keep_loo = (t.loo_fitted >= t.payout) | (t.payout == 0.0)
         v_full = np.where(keep_full, t.response, t.payout)
@@ -234,6 +235,20 @@ BASKET_MODEL = GbmModel(
     spot=[100.0] * 4, rate=0.0, dividend=[0.0] * 4, vol=[0.40] * 4,
     correlation=np.full((4, 4), 0.5) + 0.5 * np.eye(4),
 )
+
+
+@pytest.mark.parametrize(
+    "model, n_dates, payoff, m, n",
+    [
+        (PUT_MODEL, 5, PUT_PAYOFF, 12, 20_000),
+        (BASKET_MODEL, 10, PayoffSpec(BASKET_CALL, strike=100.0), 16, 4000),
+    ],
+    ids=["put", "basket"],
+)
+def test_reference_pass_is_the_engine(model, n_dates, payoff, m, n):
+    # the per-date records the tests read come from a pass that prices exactly as the engine does
+    paths = generate_paths(model, uniform_schedule(n_dates, 1.0), n, seed=5)
+    checked_reference(paths, payoff, basis_family(payoff.kind, m))
 
 
 class TestStackedPass:

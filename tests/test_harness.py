@@ -487,6 +487,8 @@ class TestCli:
             ("price --case basket_call --mode LOOLSM --spot 4e75 --strike 4e75 --paths 2000", None),
             ("experiment2 --case put_single", "strike = -1e300"),
             ("experiment1 --case bestof_call", "spot = 0"),
+            ("experiment1 --case put_single", "keys = 100, 100"),
+            ("experiment1 --case put_single", "estimators = LSM, LSM"),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
@@ -496,7 +498,8 @@ class TestCli:
              "huge_rate", "rate_700", "rate_minus_700", "dividend_minus_700",
              "basis_power_overflow", "price_strike_overflow", "bestof_strike_overflow",
              "price_column_norm_overflow", "price_largest_path_overflow",
-             "put_unread_negative_strike", "bestof_unread_zero_spot"],
+             "put_unread_negative_strike", "bestof_unread_zero_spot", "repeated_key",
+             "repeated_estimator"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):
@@ -516,6 +519,21 @@ class TestCli:
         assert captured.out == ""  # rejected before any path or row is computed
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.err[len("error: ")] not in "\"'"
+
+    def test_threads_flag_overrides_the_config_file(self, tmp_path, capsys, monkeypatch):
+        map_sets, seen = harness._map_sets, []
+
+        def recorded(worker, n_sets, threads):
+            seen.append(threads)
+            return map_sets(worker, n_sets, threads)
+
+        monkeypatch.setattr(harness, "_map_sets", recorded)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("keys = 100\nn_paths = 400\nn_mc = 2\nthreads = 2\n")
+        argv = ["experiment1", "--case", "put_single", "--config", str(cfg)]
+        for flag, threads in (([], 2), (["--threads", "1"], 1), (["--threads", "3"], 3)):
+            assert main(argv + flag) == 0
+            assert seen.pop() == threads and not seen
 
     def test_price_reads_only_its_own_basis(self, capsys):
         # the m=5 put basis has degree 3, so a spot of 1e50 keeps its columns

@@ -15,11 +15,10 @@ from lsmc.engine import payout_matrix
 from lsmc.harness import default_config
 from lsmc.market import generate_paths
 from lsmc.regression import (
+    _householder,
     _k_major,
-    _thin_svd,
+    _leading_svd,
     factor_stack,
-    fit_least_squares,
-    fit_least_squares_stack,
     fit_leading,
     loo_fallback_mask,
     loo_predictions,
@@ -27,6 +26,16 @@ from lsmc.regression import (
 
 THREE_POINT_X = np.array([[1.0, -4.0], [1.0, 0.0], [1.0, 2.0]])
 THREE_POINT_Y = np.array([-4.0, 4.0, 1.0])
+
+
+def fit_stack(x, y):
+    """factor_stack, then fit_leading on every column: x (S, N, M), y (S, N, k)."""
+    return fit_leading(factor_stack(x), y, x.shape[-1])
+
+
+def fit_one(x, y):
+    """fit_stack of one system x (N, M) with y (N,) or (N, k), as one set."""
+    return fit_stack(x[None], np.reshape(y, (1, len(y), -1)))
 
 
 def random_system(rng, n=None, m=None):
@@ -49,35 +58,37 @@ def brute_force_loo(x, y):
 
 
 class TestFitLeastSquares:
+    """Least-squares fits through factor_stack and fit_leading, the one fit API."""
+
     def test_intercept_only(self):
         y = np.array([3.0, -1.0, 4.0, 0.0])
-        fit = fit_least_squares(np.ones((4, 1)), y)
-        assert fit.beta == pytest.approx([y.mean()])
-        assert fit.leverage == pytest.approx(np.full(4, 0.25))
-        assert fit.rank == 1
+        fit = fit_one(np.ones((4, 1)), y)
+        assert fit.beta[0, :, 0] == pytest.approx([y.mean()])
+        assert fit.leverage[0] == pytest.approx(np.full(4, 0.25))
+        assert fit.rank[0] == 1
 
     def test_three_point_line(self):
-        fit = fit_least_squares(THREE_POINT_X, THREE_POINT_Y)
-        assert fit.beta == pytest.approx([1.0, 1.0], abs=1e-12)
-        assert fit.fitted == pytest.approx([-3.0, 1.0, 3.0], abs=1e-12)
-        assert fit.leverage == pytest.approx([13 / 14, 5 / 14, 5 / 7], abs=1e-12)
-        assert fit.rank == 2
+        fit = fit_one(THREE_POINT_X, THREE_POINT_Y)
+        assert fit.beta[0, :, 0] == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert fit.fitted[0, :, 0] == pytest.approx([-3.0, 1.0, 3.0], abs=1e-12)
+        assert fit.leverage[0] == pytest.approx([13 / 14, 5 / 14, 5 / 7], abs=1e-12)
+        assert fit.rank[0] == 2
 
     def test_interpolating_square_system(self):
         rng = np.random.default_rng(7)
         x = np.column_stack([np.ones(3), rng.standard_normal((3, 2))])
         y = rng.standard_normal(3)
-        fit = fit_least_squares(x, y)
-        assert fit.fitted == pytest.approx(y, abs=1e-10)
-        assert fit.residuals == pytest.approx(np.zeros(3), abs=1e-10)
-        assert fit.leverage == pytest.approx(np.ones(3), abs=1e-10)
+        fit = fit_one(x, y)
+        assert fit.fitted[0, :, 0] == pytest.approx(y, abs=1e-10)
+        assert fit.residuals[0, :, 0] == pytest.approx(np.zeros(3), abs=1e-10)
+        assert fit.leverage[0] == pytest.approx(np.ones(3), abs=1e-10)
 
     def test_rank_deficiency_detected_and_projection_unchanged(self):
         rng = np.random.default_rng(11)
         x, y = random_system(rng, n=60, m=4)
         x_dup = np.column_stack([x, x[:, 1] - 2.0 * x[:, 2]])
-        fit, fit_dup = fit_least_squares(x, y), fit_least_squares(x_dup, y)
-        assert fit_dup.rank == 4
+        fit, fit_dup = fit_one(x, y), fit_one(x_dup, y)
+        assert fit_dup.rank[0] == 4
         assert fit_dup.fitted == pytest.approx(fit.fitted, abs=1e-9)
         assert fit_dup.leverage == pytest.approx(fit.leverage, abs=1e-9)
 
@@ -89,10 +100,10 @@ class TestFitLeastSquares:
         x = np.column_stack([s**k for k in range(11)])
         sv = np.linalg.svd(x, compute_uv=False)
         raw_rank = int((sv > max(x.shape) * np.finfo(float).eps * sv[0]).sum())
-        fit = fit_least_squares(x, rng.standard_normal(500))
+        fit = fit_one(x, rng.standard_normal(500))
         assert raw_rank <= 5
-        assert fit.rank >= 10
-        assert abs(fit.leverage.sum() - fit.rank) < 1e-8
+        assert fit.rank[0] >= 10
+        assert abs(fit.leverage.sum() - fit.rank[0]) < 1e-8
 
     def test_response_block_matches_per_column_fits(self):
         # the backward pass fits both estimators' value vectors at once; each
@@ -102,15 +113,17 @@ class TestFitLeastSquares:
         wild = np.column_stack([s**k for k in range(8)])
         for x, y in ((wild, rng.standard_normal(300)), random_system(rng, n=150, m=5)):
             block = np.column_stack([y, y**2])
-            fit = fit_least_squares(x, block)
-            assert fit.fitted.shape == block.shape and fit.beta.shape == (x.shape[1], 2)
+            fit = fit_one(x, block)
+            assert fit.fitted.shape == (1, *block.shape) and fit.beta.shape == (1, x.shape[1], 2)
             for j in range(2):
-                alone = fit_least_squares(x, block[:, j].copy())
-                np.testing.assert_array_equal(fit.fitted[:, j], alone.fitted)
-                np.testing.assert_array_equal(fit.residuals[:, j], alone.residuals)
-                np.testing.assert_array_equal(fit.beta[:, j], alone.beta)
+                alone = fit_one(x, block[:, j].copy())
+                np.testing.assert_array_equal(fit.fitted[..., j], alone.fitted[..., 0])
+                np.testing.assert_array_equal(fit.residuals[..., j], alone.residuals[..., 0])
+                np.testing.assert_array_equal(fit.beta[..., j], alone.beta[..., 0])
                 np.testing.assert_array_equal(fit.leverage, alone.leverage)
-                np.testing.assert_array_equal(loo_predictions(fit)[:, j], loo_predictions(alone))
+                np.testing.assert_array_equal(
+                    loo_predictions(fit)[..., j], loo_predictions(alone)[..., 0]
+                )
 
     def test_stacked_fit_is_independent_of_memory_layout(self):
         # the backward pass hands the fit C-ordered designs and a response
@@ -126,11 +139,11 @@ class TestFitLeastSquares:
         wide[:, ::2, 1:7] = x
         k_major = np.empty((3, 2, 200)).transpose(0, 2, 1)
         k_major[...] = y
-        reference = fit_least_squares_stack(x, y)
+        reference = fit_stack(x, y)
         assert list(reference.rank) == [6, 5, 6]
         for xs in (x, fortran, wide[:, ::2, 1:7]):
             for ys in (y, k_major):
-                fit = fit_least_squares_stack(xs, ys)
+                fit = fit_stack(xs, ys)
                 for name in ("beta", "fitted", "residuals", "leverage", "rank"):
                     assert getattr(fit, name).tobytes() == getattr(reference, name).tobytes()
 
@@ -138,9 +151,9 @@ class TestFitLeastSquares:
         x = THREE_POINT_X.copy()
         x[1, 1] = np.nan
         with pytest.raises(ValueError, match="row 1, column 1"):
-            fit_least_squares(x, THREE_POINT_Y)
+            fit_one(x, THREE_POINT_Y)
         with pytest.raises(ValueError, match="response at row 2"):
-            fit_least_squares(THREE_POINT_X, np.array([0.0, 1.0, np.inf]))
+            fit_one(THREE_POINT_X, np.array([0.0, 1.0, np.inf]))
 
     @pytest.mark.parametrize("bad, row, col", [(np.nan, 17, 3), (np.inf, 0, 5), (-np.inf, 199, 0)])
     def test_stacked_nonfinite_names_its_set(self, bad, row, col):
@@ -150,7 +163,7 @@ class TestFitLeastSquares:
         x = rng.uniform(0.5, 2.0, size=(4, 200, 6))
         x[2, row, col] = bad
         with pytest.raises(ValueError, match=f"row {row}, column {col} of set 2$"):
-            fit_least_squares_stack(x, rng.standard_normal((4, 200)))
+            fit_stack(x, rng.standard_normal((4, 200, 1)))
 
 
 def equilibrated(x):
@@ -170,8 +183,14 @@ def contract_designs(case, n, date=1):
     return design_matrix(basis_family(case, m), paths.values[:, date, :], z[:, date])
 
 
+def thin_svd(a):
+    """_householder, then _leading_svd at full width: the thin SVD of a
+    Fortran-ordered (S, N, M) stack, which is overwritten."""
+    return _leading_svd(*_householder(a), a.shape[-1])
+
+
 class TestThinSvd:
-    """_thin_svd against np.linalg.svd(a, full_matrices=False), whose
+    """The fit's thin SVD against np.linalg.svd(a, full_matrices=False), whose
     factorization it replaces."""
 
     def tall_stack(self):
@@ -190,7 +209,7 @@ class TestThinSvd:
                                         ("put_single", "bestof_call", "basket_call")]:
             a = equilibrated(x)
             u0, s0, vt0 = np.linalg.svd(a, full_matrices=False)
-            u, s, vt = _thin_svd(equilibrated(x))
+            u, s, vt = thin_svd(equilibrated(x))
             assert a.shape[1] >= 11 * a.shape[2] // 6
             assert s.tobytes() == s0.tobytes() and vt.tobytes() == vt0.tobytes()
             assert np.abs(u - u0).max() < 1e-13
@@ -199,7 +218,7 @@ class TestThinSvd:
 
     def test_rank_deficient_sets_keep_their_rank(self):
         x = self.tall_stack()
-        s = _thin_svd(equilibrated(x))[1]
+        s = thin_svd(equilibrated(x))[1]
         tol = max(x.shape[1:]) * np.finfo(float).eps * s[:, :1]
         assert list(np.count_nonzero(s > tol, axis=-1)) == [6, 5, 6, 5]
 
@@ -212,7 +231,7 @@ class TestThinSvd:
         x[1, :, 3] = 0.0
         a = equilibrated(x)
         u0, s0, _ = np.linalg.svd(a, full_matrices=False)
-        u, s, vt = _thin_svd(equilibrated(x))
+        u, s, vt = thin_svd(equilibrated(x))
         k = min(n, m)
         assert n < 11 * m // 6 and u.shape == (2, n, k) and vt.shape == (2, k, m)
         assert np.abs(s - s0).max() < 1e-14
@@ -225,9 +244,9 @@ class TestThinSvd:
 
     def test_stacked_call_equals_per_matrix_calls(self):
         x = self.tall_stack()
-        stacked = _thin_svd(equilibrated(x))
+        stacked = thin_svd(equilibrated(x))
         for t in range(x.shape[0]):
-            alone = _thin_svd(equilibrated(x[t:t + 1]))
+            alone = thin_svd(equilibrated(x[t:t + 1]))
             for got, want in zip(stacked, alone):
                 assert got[t].tobytes() == want[0].tobytes()
 
@@ -249,9 +268,13 @@ class TestLeadingColumnFits:
     @pytest.mark.parametrize("case", ["put_single", "bestof_call", "basket_call"])
     def test_full_width_is_the_stacked_fit(self, case):
         x, y = self.mixed_stack(case)
-        fit, reference = fit_leading(factor_stack(x), y, x.shape[-1]), fit_least_squares_stack(x, y)
-        for name in self.FIELDS:
-            assert getattr(fit, name).tobytes() == getattr(reference, name).tobytes()
+        # each set of the stack is fitted bit for bit as if it were alone
+        fit = fit_stack(x, y)
+        assert list(fit.rank) == [x.shape[-1]] * 2 + [x.shape[-1] - 2]
+        for t in range(3):
+            alone = fit_stack(x[t:t + 1], y[t:t + 1])
+            for name in self.FIELDS:
+                assert getattr(fit, name)[t].tobytes() == getattr(alone, name)[0].tobytes()
 
     @pytest.mark.parametrize("case, m_list", [
         ("put_single", (4, 8, 12)), ("bestof_call", (4, 7, 11)), ("basket_call", (6, 10, 16)),
@@ -265,7 +288,7 @@ class TestLeadingColumnFits:
         factor = factor_stack(x)
         eps = np.finfo(float).eps
         for m in m_list:
-            fit, alone = fit_leading(factor, y, m), fit_least_squares_stack(x[..., :m], y)
+            fit, alone = fit_leading(factor, y, m), fit_stack(x[..., :m], y)
             assert list(alone.rank) == [m, m, m - 2]
             assert fit.rank.tobytes() == alone.rank.tobytes()
             s = np.linalg.svd(equilibrated(x[..., :m]), compute_uv=False)
@@ -287,45 +310,46 @@ class TestLeadingColumnFits:
 
 class TestLeaveOneOut:
     def test_three_point_loo_prediction(self):
-        fit = fit_least_squares(THREE_POINT_X, THREE_POINT_Y)
-        loo = loo_predictions(fit)
+        fit = fit_one(THREE_POINT_X, THREE_POINT_Y)
+        loo = loo_predictions(fit)[0, :, 0]
         assert loo[1] == pytest.approx(-2.0 / 3.0, abs=1e-12)
         assert loo == pytest.approx([10.0, -2.0 / 3.0, 8.0], abs=1e-12)
 
     def test_three_point_loo_residual(self):
-        fit = fit_least_squares(THREE_POINT_X, THREE_POINT_Y)
-        loo_error = THREE_POINT_Y - loo_predictions(fit)
+        fit = fit_one(THREE_POINT_X, THREE_POINT_Y)
+        loo_error = THREE_POINT_Y - loo_predictions(fit)[0, :, 0]
         assert loo_error[1] == pytest.approx(14.0 / 3.0, abs=1e-12)
 
     def test_zero_residuals_mean_no_correction(self):
         x = THREE_POINT_X
         y = 2.0 + 0.5 * x[:, 1]
-        fit = fit_least_squares(x, y)
+        fit = fit_one(x, y)
         assert loo_predictions(fit) == pytest.approx(fit.fitted, abs=1e-12)
 
     def test_zero_leverage_row_keeps_residual(self):
-        fit = fit_least_squares(THREE_POINT_X, THREE_POINT_Y)
+        fit = fit_one(THREE_POINT_X, THREE_POINT_Y)
         hacked = type(fit)(
             beta=fit.beta,
             fitted=fit.fitted,
             residuals=fit.residuals,
-            leverage=np.array([0.0, 0.5, 0.5]),
+            leverage=np.array([[0.0, 0.5, 0.5]]),
             rank=fit.rank,
         )
-        assert THREE_POINT_Y[0] - loo_predictions(hacked)[0] == fit.residuals[0]
+        assert THREE_POINT_Y[0] - loo_predictions(hacked)[0, 0, 0] == fit.residuals[0, 0, 0]
 
     def test_matches_brute_force_refits(self):
         rng = np.random.default_rng(42)
         x, y = random_system(rng, n=50, m=3)
-        fit = fit_least_squares(x, y)
-        assert np.allclose(loo_predictions(fit), brute_force_loo(x, y), rtol=1e-9, atol=1e-9)
+        fit = fit_one(x, y)
+        loo = loo_predictions(fit)[0, :, 0]
+        assert np.allclose(loo, brute_force_loo(x, y), rtol=1e-9, atol=1e-9)
 
     def test_leverage_one_falls_back_with_warning(self):
         # an interpolating fit has h = 1 everywhere
         rng = np.random.default_rng(5)
         x = np.column_stack([np.ones(2), rng.standard_normal(2)])
         y = rng.standard_normal(2)
-        fit = fit_least_squares(x, y)
+        fit = fit_one(x, y)
         assert loo_fallback_mask(fit).all()
         with pytest.warns(RuntimeWarning, match="leverage"):
             loo = loo_predictions(fit)
@@ -337,19 +361,18 @@ class TestLeaveOneOut:
 def test_leverage_and_identities(seed):
     rng = np.random.default_rng(seed)
     x, y = random_system(rng)
-    fit = fit_least_squares(x, y)
+    fit = fit_one(x, y)
+    leverage, fitted, residuals = fit.leverage[0], fit.fitted[0, :, 0], fit.residuals[0, :, 0]
 
-    assert (fit.leverage >= 0.0).all() and (fit.leverage <= 1.0).all()
-    assert abs(fit.leverage.sum() - fit.rank) < 1e-8
-    np.testing.assert_allclose(fit.fitted + fit.residuals, y, rtol=1e-13, atol=1e-13)
+    assert (leverage >= 0.0).all() and (leverage <= 1.0).all()
+    assert abs(leverage.sum() - fit.rank[0]) < 1e-8
+    np.testing.assert_allclose(fitted + residuals, y, rtol=1e-13, atol=1e-13)
 
-    loo = loo_predictions(fit)
+    loo = loo_predictions(fit)[0, :, 0]
     # fitted value is the leverage-weighted average of LOO prediction and observation
-    assert np.allclose(
-        fit.fitted, (1.0 - fit.leverage) * loo + fit.leverage * y, rtol=1e-10, atol=1e-10
-    )
+    assert np.allclose(fitted, (1.0 - leverage) * loo + leverage * y, rtol=1e-10, atol=1e-10)
     # self-exclusion can only grow the error
-    assert (np.abs(y - loo) >= np.abs(fit.residuals) - 1e-12).all()
+    assert (np.abs(y - loo) >= np.abs(residuals) - 1e-12).all()
 
 
 @settings(max_examples=20, deadline=None)
@@ -357,7 +380,7 @@ def test_leverage_and_identities(seed):
 def test_scaling_invariance(seed, scale):
     rng = np.random.default_rng(seed)
     x, y = random_system(rng)
-    fit, fit_scaled = fit_least_squares(x, y), fit_least_squares(x, scale * y)
+    fit, fit_scaled = fit_one(x, y), fit_one(x, scale * y)
     assert np.allclose(fit_scaled.fitted, scale * fit.fitted, rtol=1e-9, atol=1e-12)
     assert np.allclose(fit_scaled.leverage, fit.leverage, rtol=0, atol=1e-12)
     assert np.allclose(
@@ -368,10 +391,10 @@ def test_scaling_invariance(seed, scale):
 def test_leverage_is_fitted_value_derivative():
     rng = np.random.default_rng(17)
     x, y = random_system(rng, n=80, m=4)
-    fit = fit_least_squares(x, y)
+    fit = fit_one(x, y)
     delta = 1e-6
     for n in (0, 17, 79):
         bumped = y.copy()
         bumped[n] += delta
-        slope = (fit_least_squares(x, bumped).fitted[n] - fit.fitted[n]) / delta
-        assert slope == pytest.approx(fit.leverage[n], abs=1e-5)
+        slope = (fit_one(x, bumped).fitted[0, n, 0] - fit.fitted[0, n, 0]) / delta
+        assert slope == pytest.approx(fit.leverage[0, n], abs=1e-5)
