@@ -167,7 +167,7 @@ def price_backward(
         )
 
     z = payout_matrix(paths, payoff)
-    stack = BackwardStack(z, slice(None), paths.n_paths, basis.m, policy)
+    stack = BackwardStack(z, paths.n_paths, basis.m, policy)
     step_back(paths, z, basis, [[stack]])
     return stack.results([paths], basis)[0]
 
@@ -179,15 +179,16 @@ def step_back(
 
     z is the paths' payout matrix and basis the widest of the stacks' bases.
     Per date: one design matrix at that basis for all the paths, one
-    factorization per group (a list of stacks over the same rows), and each
-    stack's step on its leading m columns.  Each stack's busy_s gains its
-    step time and an equal share of its group's factorization time.
+    factorization per group (a list of stacks that cut the paths into the
+    same sets of n), and each stack's step on its leading m columns.  Each
+    stack's busy_s gains its step time and an equal share of its group's
+    factorization time.
     """
     for i in range(paths.n_dates - 2, -1, -1):
         x = design_matrix(basis, paths.values[:, i, :], z[:, i])
         for group in groups:
-            rows, shape = group[0].rows, group[0].european.shape
-            xg, zi = x[rows].reshape(*shape, basis.m), z[rows, i].reshape(shape)
+            shape = group[0].european.shape
+            xg, zi = x.reshape(*shape, basis.m), z[:, i].reshape(shape)
             t0 = time.perf_counter()
             factor = factor_stack(xg)
             share = (time.perf_counter() - t0) / len(group)
@@ -200,7 +201,7 @@ def step_back(
 
 
 class BackwardStack:
-    """The sets of n paths in some rows of a payout matrix z, part-way through the pass.
+    """The consecutive sets of n paths that cover a payout matrix z, part-way through the pass.
 
     Each step regresses one earlier date, latest first, for every set at once
     on m basis columns, and results reads off the estimators once date 0 is
@@ -209,12 +210,10 @@ class BackwardStack:
     policy's.  busy_s totals the time step_back spends on this stack.
     """
 
-    def __init__(
-        self, z: np.ndarray, rows: slice, n: int, m: int, policy: ExercisePolicy | None = None
-    ) -> None:
-        self.european = z[rows, -1].reshape(-1, n)
+    def __init__(self, z: np.ndarray, n: int, m: int, policy: ExercisePolicy | None = None) -> None:
+        self.european = z[:, -1].reshape(-1, n)
         n_sets, n_dates = self.european.shape[0], z.shape[1]
-        self.rows, self.m, self.policy = rows, m, policy
+        self.m, self.policy = m, policy
         self.busy_s = 0.0
         # each column is stored contiguously, so every elementwise step
         # runs over whole rows of N paths instead of an innermost axis of 2

@@ -53,13 +53,6 @@ from .oracles import bestof2_european_call, bs_european_put, reference_price
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _LOG_SQRT_MAX = math.log(np.finfo(float).max) / 2
 
-# Rows per stacked backward pass in experiment 2.  On 2 cores with BLAS
-# pinned to 1 thread, 16,384-row blocks priced the basket desk config faster
-# than 4,096 or 65,536: small blocks leave the per-call overhead (and the
-# interpreter lock it holds) in place, while a 65,536-row stack outgrows the
-# 4 MiB L2 cache and slows even one thread.
-BLOCK_ROWS = 16_384
-
 CSV_COLUMNS = (
     "case,key,estimator,M,N,n_mc,mean_offset,std,se_mean,"
     "mean_bias,bias_se,flips_total,min_rank,wall_ms"
@@ -289,6 +282,7 @@ def default_config(case: str, experiment: int = 1, scale: str = "desk") -> Exper
     kwargs.update(_SCALE_EXP2[scale])
     if experiment == 2:
         kwargs["keys"] = (100.0,)
+        kwargs["estimators"] = (MODE_LSM, MODE_LOOLSM)
         kwargs["control_variate"] = True
     return ExperimentConfig(case=case, **kwargs)
 
@@ -440,17 +434,6 @@ def _spread(values: np.ndarray) -> tuple[float, float]:
         return float("nan"), float("nan")
     std = float(values.std(ddof=1))
     return std, std / math.sqrt(n)
-
-
-def _set_blocks(n_sets: int, set_rows: int) -> list[tuple[int, int]]:
-    """Consecutive runs of sets, as (first, stop) set indices, that price as one stack.
-
-    Each run holds at most BLOCK_ROWS rows (one set if a set is larger), and
-    the sets are spread over as few runs as that allows, evenly.
-    """
-    n_blocks = -(-n_sets // max(1, BLOCK_ROWS // set_rows))
-    edges = [n_sets * b // n_blocks for b in range(n_blocks + 1)]
-    return list(zip(edges[:-1], edges[1:]))
 
 
 def _map_sets(worker, n_sets: int, threads: int) -> list:
@@ -627,13 +610,13 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     The pool is priced in gcd(n_mc_list) chunks, the tasks spread over
     `threads`; every set of every split lies inside one chunk.  A chunk is
     generated once and priced by one call of the engine's date loop,
-    step_back, at max(m_list).  Within a cell, consecutive sets form one stack
-    of at most BLOCK_ROWS rows (one set, if larger), and the stacks of every
-    m over the same sets form one group.  Each set reports an equal share of
-    its stack's busy time, split evenly between the two estimators.
+    step_back, at max(m_list).  Within a cell, the chunk's sets form one
+    stack, and the stacks of every m over the same split form one group.
+    Each set reports an equal share of its stack's busy time, split evenly
+    between the two estimators.
     """
-    if len(config.keys) != 1:
-        raise ConfigError("experiment 2 runs one strike/spot at a time")
+    if len(config.keys) != 1 or set(config.estimators) != {MODE_LSM, MODE_LOOLSM}:
+        raise ConfigError("experiment 2 runs one strike/spot at a time with estimators LSM, LOOLSM")
     config.check_scales(config.m_list, config.pool_size // min(config.n_mc_list))
     key = config.keys[0]
     schedule = config.schedule()
@@ -651,17 +634,16 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
             model, schedule, chunk_rows, pool_seed, config.antithetic, offset=c * chunk_rows
         )
         z = payout_matrix(chunk, payoff)
-        groups = [  # a stack per m over each run of consecutive sets
-            [BackwardStack(z, slice(first * n, stop * n), n, m) for m in config.m_list]
+        groups = [  # a stack per m over each split of the chunk
+            [BackwardStack(z, n, m) for m in config.m_list]
             for n in (config.pool_size // n_mc for n_mc in config.n_mc_list)
-            for first, stop in _set_blocks(chunk_rows // n, n)
         ]
         step_back(chunk, z, bases[max(config.m_list)], groups)
 
         cells: dict = {cell: [] for cell in cells_of}
         for group in groups:
-            (n_sets, n), rows = group[0].european.shape, group[0].rows
-            sets = split_pool(chunk, chunk_rows // n)[rows.start // n : rows.stop // n]
+            n_sets, n = group[0].european.shape
+            sets = split_pool(chunk, n_sets)
             for stack in group:
                 share = stack.busy_s * 1e3 / n_sets / 2
                 for lsm, loo, _, mc_euro, _ in stack.results(sets, bases[stack.m]):

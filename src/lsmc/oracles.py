@@ -9,6 +9,7 @@ and a static table of published exact values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -177,6 +178,7 @@ class ReferencePrice:
     source: str
 
 
+@functools.cache
 def _load_reference_table() -> dict[tuple[str, float], ReferencePrice]:
     table: dict[tuple[str, float], ReferencePrice] = {}
     text = resources.files("lsmc.data").joinpath("reference_prices.txt").read_text()
@@ -190,9 +192,6 @@ def _load_reference_table() -> dict[tuple[str, float], ReferencePrice]:
     return table
 
 
-_REFERENCE_TABLE: dict[tuple[str, float], ReferencePrice] | None = None
-
-
 def reference_price(case: str, key: float) -> ReferencePrice:
     """Published exact Bermudan/European prices for (case, key).
 
@@ -200,11 +199,9 @@ def reference_price(case: str, key: float) -> ReferencePrice:
     bestof_call.  For the basket the two prices coincide (no dividends, so
     early exercise is never optimal).
     """
-    global _REFERENCE_TABLE
-    if _REFERENCE_TABLE is None:
-        _REFERENCE_TABLE = _load_reference_table()
-    entry = _REFERENCE_TABLE.get((case, float(key)))
+    table = _load_reference_table()
+    entry = table.get((case, float(key)))
     if entry is None:
-        known = sorted(k for c, k in _REFERENCE_TABLE if c == case)
+        known = sorted(k for c, k in table if c == case)
         raise KeyError(f"no reference price for ({case!r}, {key!r}); known keys: {known}")
     return entry

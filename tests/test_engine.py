@@ -251,14 +251,24 @@ def test_reference_pass_is_the_engine(model, n_dates, payoff, m, n):
     checked_reference(paths, payoff, basis_family(payoff.kind, m))
 
 
+STACK_CASES = pytest.mark.parametrize(
+    "model, n_dates, payoff, m",
+    [
+        (PUT_MODEL, 5, PUT_PAYOFF, 5),
+        (BASKET_MODEL, 10, PayoffSpec(BASKET_CALL, strike=100.0), 10),
+    ],
+    ids=["put", "basket"],
+)
+
+
 class TestStackedPass:
     """Pricing consecutive sets as one stack equals pricing each set alone, bit for bit.
 
-    Each composition is one step_back over the whole pool, one stack per run
-    of sets, as experiment 2 prices a chunk.
+    Each stack covers a chunk of the pool, generated on its own at its offset,
+    as experiment 2 generates and prices a chunk.
     """
 
-    # six sets; each tuple of (first, stop) runs covers them once
+    # six sets of 250 paths; each tuple of (first, stop) chunks covers them once
     COMPOSITIONS = (
         ((0, 6),),
         ((0, 1), (1, 4), (4, 6)),
@@ -266,56 +276,71 @@ class TestStackedPass:
     )
 
     @staticmethod
-    def assert_stack_matches_alone(pool, n_sets, payoff, basis):
-        sets = split_pool(pool, n_sets)
+    def assert_same_results(alone, stacked):
+        for want, got in zip(alone, stacked, strict=True):
+            # LSM, LOOLSM, European and LSM2
+            for a, b in zip(want[:2] + want[3:], got[:2] + got[3:]):
+                np.testing.assert_array_equal(b.per_path_value, a.per_path_value)
+                assert (b.price, b.std_error) == (a.price, a.std_error)
+                assert b.flip_counts == a.flip_counts
+                assert b.ranks == a.ranks
+                assert b.fallback_count == a.fallback_count
+                assert b.provenance == a.provenance
+            for a, b in zip(want[2].coefficients, got[2].coefficients):
+                np.testing.assert_array_equal(b, a)
+
+    @staticmethod
+    def assert_stack_matches_alone(paths, payoff, basis):
+        """paths(n_paths, offset) generates that many of the pool's paths from offset on."""
+        sets = split_pool(paths(6 * 250, 0), 6)
         policy = price_backward(sets[0], payoff, basis).policy  # any policy of the right shape
-        alone = [price_backward(paths, payoff, basis, policy=policy) for paths in sets]
-        n = sets[0].n_paths
-        z = payout_matrix(pool, payoff)
+        alone = [price_backward(lone, payoff, basis, policy=policy) for lone in sets]
         for composition in TestStackedPass.COMPOSITIONS:
-            groups = [
-                [BackwardStack(z, slice(first * n, stop * n), n, basis.m, policy)]
-                for first, stop in composition
-            ]
-            step_back(pool, z, basis, groups)
-            for (first, stop), (stack,) in zip(composition, groups):
-                stacked = stack.results(sets[first:stop], basis)
-                for want, got in zip(alone[first:stop], stacked):
-                    # LSM, LOOLSM, European and LSM2
-                    for a, b in zip(want[:2] + want[3:], got[:2] + got[3:]):
-                        np.testing.assert_array_equal(b.per_path_value, a.per_path_value)
-                        assert (b.price, b.std_error) == (a.price, a.std_error)
-                        assert b.flip_counts == a.flip_counts
-                        assert b.ranks == a.ranks
-                        assert b.fallback_count == a.fallback_count
-                        assert b.provenance == a.provenance
-                    for a, b in zip(want[2].coefficients, got[2].coefficients):
-                        np.testing.assert_array_equal(b, a)
+            for first, stop in composition:
+                chunk = paths((stop - first) * 250, first * 250)
+                z = payout_matrix(chunk, payoff)
+                stack = BackwardStack(z, 250, basis.m, policy)
+                step_back(chunk, z, basis, [[stack]])
+                stacked = stack.results(split_pool(chunk, stop - first), basis)
+                TestStackedPass.assert_same_results(alone[first:stop], stacked)
         return alone
 
-    @pytest.mark.parametrize(
-        "model, n_dates, payoff, m",
-        [
-            (PUT_MODEL, 5, PUT_PAYOFF, 5),
-            (BASKET_MODEL, 10, PayoffSpec(BASKET_CALL, strike=100.0), 10),
-        ],
-        ids=["put", "basket"],
-    )
+    @STACK_CASES
     def test_blocks_match_each_set_alone(self, model, n_dates, payoff, m):
-        # 250-path sets: not a multiple of any SIMD width, so a block shifts
+        # 250-path sets: not a multiple of any SIMD width, so a stack shifts
         # each set's rows against the vector lanes of a lone pass
-        pool = generate_paths(model, uniform_schedule(n_dates, 1.0), 6 * 250, seed=808)
-        self.assert_stack_matches_alone(pool, 6, payoff, basis_family(payoff.kind, m))
+        schedule = uniform_schedule(n_dates, 1.0)
+
+        def paths(n_paths, offset):
+            return generate_paths(model, schedule, n_paths, seed=808, offset=offset)
+
+        self.assert_stack_matches_alone(paths, payoff, basis_family(payoff.kind, m))
+
+    @STACK_CASES
+    def test_one_group_per_split_matches_each_set_alone(self, model, n_dates, payoff, m):
+        # one step_back prices every split of a 1500-path pool, as experiment 2 prices a chunk
+        pool = generate_paths(model, uniform_schedule(n_dates, 1.0), 1500, seed=707)
+        basis = basis_family(payoff.kind, m)
+        policy = price_backward(pool, payoff, basis).policy  # any policy of the right shape
+        z = payout_matrix(pool, payoff)
+        groups = [[BackwardStack(z, n, basis.m, policy)] for n in (250, 500, 750, 1500)]
+        step_back(pool, z, basis, groups)
+        for (stack,) in groups:
+            sets = split_pool(pool, stack.european.shape[0])
+            alone = [price_backward(lone, payoff, basis, policy=policy) for lone in sets]
+            self.assert_same_results(alone, stack.results(sets, basis))
 
     def test_rank_deficient_set_leaves_its_neighbours_unchanged(self):
-        # every path of set 2 is out of the money at date 1, so its payoff
-        # column vanishes there and only that set loses a rank
-        pool = generate_paths(PUT_MODEL, PUT_SCHEDULE, 6 * 250, seed=909)
-        values = pool.values.copy()
-        values[500:750, 1, 0] += 60.0
-        assert values[500:750, 1, 0].min() > PUT_PAYOFF.strike
-        pool = dataclasses.replace(pool, values=values)
-        alone = self.assert_stack_matches_alone(pool, 6, PUT_PAYOFF, PUT_BASIS)
+        # every path of set 2 (pool rows 500 to 750) is out of the money at
+        # date 1, so its payoff column vanishes there and only that set loses a rank
+        def paths(n_paths, offset):
+            chunk = generate_paths(PUT_MODEL, PUT_SCHEDULE, n_paths, seed=909, offset=offset)
+            values = chunk.values.copy()
+            values[max(500 - offset, 0) : max(750 - offset, 0), 1, 0] += 60.0
+            return dataclasses.replace(chunk, values=values)
+
+        assert paths(6 * 250, 0).values[500:750, 1, 0].min() > PUT_PAYOFF.strike
+        alone = self.assert_stack_matches_alone(paths, PUT_PAYOFF, PUT_BASIS)
         ranks = [result[0].ranks[1] for result in alone]
         assert ranks == [5, 5, 4, 5, 5, 5]
 

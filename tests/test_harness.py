@@ -309,17 +309,13 @@ class TestExperiment2:
             "db502ec35c7409a6e221bbbf6dfaeed83c572681b454bdac90d0d82c7cf5b4ac",
     }
 
-    def test_reproducible_across_threads(self, monkeypatch):
-        # (3, 6) prices 3 chunks of 2000 paths and (2, 3) one chunk of 6000;
-        # smaller blocks split each cell's sets into different stacks, which
-        # the fingerprint must not see
+    def test_reproducible_across_threads(self):
+        # (3, 6) prices 3 chunks of 2000 paths and (2, 3) one chunk of 6000
         for n_mc_list, digest in self.WHOLE_POOL_DIGESTS.items():
-            for block_rows in (harness.BLOCK_ROWS, 2500, 1000):
-                monkeypatch.setattr(harness, "BLOCK_ROWS", block_rows)
-                for threads in (1, 2, 3):
-                    report = run_experiment2(tiny_exp2(n_mc_list=n_mc_list, threads=threads))
-                    got = hashlib.sha256(report.fingerprint()).hexdigest()
-                    assert got == digest, (n_mc_list, block_rows, threads)
+            for threads in (1, 2, 3):
+                report = run_experiment2(tiny_exp2(n_mc_list=n_mc_list, threads=threads))
+                got = hashlib.sha256(report.fingerprint()).hexdigest()
+                assert got == digest, (n_mc_list, threads)
 
     def test_memory_is_bounded_by_the_chunk(self):
         # 10 chunks of 4,800 paths: nothing close to the whole pool is held
@@ -489,6 +485,10 @@ class TestCli:
             ("experiment1 --case bestof_call", "spot = 0"),
             ("experiment1 --case put_single", "keys = 100, 100"),
             ("experiment1 --case put_single", "estimators = LSM, LSM"),
+            (
+                "experiment2 --case put_single",
+                "estimators = LSM2\npool_size = 2400\nn_mc_list = 2, 4\nm_list = 5, 2",
+            ),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
@@ -499,7 +499,7 @@ class TestCli:
              "basis_power_overflow", "price_strike_overflow", "bestof_strike_overflow",
              "price_column_norm_overflow", "price_largest_path_overflow",
              "put_unread_negative_strike", "bestof_unread_zero_spot", "repeated_key",
-             "repeated_estimator"],
+             "repeated_estimator", "experiment2_estimators"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):
