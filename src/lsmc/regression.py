@@ -8,10 +8,10 @@ whose columns span many orders of magnitude.  The norms are summed over the
 contiguous columns of the copy that is factorized.  Leverage is computed
 row-wise from the orthonormal factor, never by forming the N x N projector.
 
-The thin SVD takes LAPACK's own route for a tall matrix: Householder QR, then
-the SVD of the small triangular factor R.  The orthonormal factor is then
-formed from the reflectors in compact WY form (Schreiber & Van Loan, 1989) by
-matrix products, where LAPACK would form Q one reflector at a time.  The QR
+The thin SVD is Householder QR, then the SVD of the small triangular factor
+R.  The QR is LAPACK's dgeqrt, which returns the reflectors together with
+their compact WY factor T (Schreiber & Van Loan, 1989), and the orthonormal
+factor is formed from them by matrix products.  The QR
 (factor_stack) and the rest (fit_leading) are separate steps, so one QR of a
 wide design serves fits on any of its leading columns.  The pair is the only
 fit API, called alike by the engine and the tests (the reference backward
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf
+from scipy.linalg.lapack import dgeqrt
 
 # 1 - h below this threshold is treated as a leverage-one singularity: the
 # leave-one-out prediction falls back to the full-fit value for that row.
@@ -64,9 +64,9 @@ class StackFactorization(NamedTuple):
     """Householder QR of each column-equilibrated matrix of an (S, N, M) stack:
     the column norms (S, M), a zero column's read as 1; R (S, K, M) with
     K = min(N, M); the reflectors V (S, N, K) with a unit diagonal; and the
-    compact WY factor T (S, K, K), Q = I - V T V^T.  QR works left to right
-    and T's recurrence fills each column from the earlier ones, so the
-    leading k = min(N, m) reflectors, R[:k, :m] and T[:k, :k] factor the
+    compact WY factor T (S, K, K), upper triangular, Q = I - V T V^T.  The
+    first i reflectors and T[:i, :i] depend only on the first i columns, so
+    the leading k = min(N, m) reflectors, R[:k, :m] and T[:k, :k] factor the
     leading m columns, to rounding of factoring those columns alone.
     """
 
@@ -78,34 +78,31 @@ class StackFactorization(NamedTuple):
 
 def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """R, V and T of an (S, N, M) stack whose matrices are each Fortran-ordered;
-    V is a view of a, which is overwritten.  The QR is scipy's dgeqrf, which
-    unlike numpy's qr releases the interpreter lock."""
+    V is a view of a, which is overwritten.  Each set is one call of LAPACK's
+    dgeqrt with block size K = min(N, M): the recursive QR of Elmroth and
+    Gustavson (2000), which returns T with the reflectors.  scipy's dgeqrt
+    holds the interpreter lock (its dgeqrf does not)."""
     n_sets, n, m = a.shape
     k = min(n, m)
-    tau = np.empty((n_sets, k))
+    t = np.empty((n_sets, k, k))
     for j in range(n_sets):
-        _, tau[j], _, _ = dgeqrf(a[j], overwrite_a=True)
+        _, t[j], _ = dgeqrt(k, a[j], overwrite_a=True)
     r = np.triu(a[:, :k, :])
     # a becomes V: the reflectors below the diagonal, ones on it, zeros above
     v = a[:, :, :k]
     top = v[:, :k, :]
     top[...] = np.tril(top, -1) + np.eye(k)
-    # dlarft's recurrence from the Gram matrix: T[:i, i] = -tau_i T[:i, :i] V^T v_i
-    gram = v.transpose(0, 2, 1) @ v
-    t = np.zeros((n_sets, k, k))
-    t[:, range(k), range(k)] = tau
-    for i in range(1, k):
-        t[:, :i, i] = -tau[:, i, None] * (t[:, :i, :i] @ gram[:, :i, i, None])[..., 0]
-    return r, v, t
+    # LAPACK leaves T's strictly lower triangle undefined
+    return r, v, np.triu(t)
 
 
 def _leading_svd(r, v, t, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD of the leading m columns of what _householder factored: the
     SVD of R[:k, :m], then U = Q [U_R; 0] from the first k reflectors.
 
-    For N >= 11 m / 6 this is the route LAPACK's gesdd takes, so s and V^T
-    are bit-identical to np.linalg.svd and U agrees to rounding; below that
-    size every factor agrees to rounding."""
+    s and U diag(s) V^T agree with np.linalg.svd's to rounding; the QR is
+    not the one gesdd runs, so the singular vectors agree only as closely as
+    the gaps between their singular values allow."""
     k = min(v.shape[1], m)
     ur, s, vt = np.linalg.svd(r[:, :k, :m], full_matrices=False)
     v = v[..., :k]

@@ -204,17 +204,28 @@ class TestThinSvd:
         x[3, :, 5] = 2.0 * x[3, :, 2] - x[3, :, 3]
         return x
 
-    def test_tall_matches_lapack_route(self):
+    def test_tall_agrees_with_numpy_svd(self):
+        # the fit reads s, U diag(s) V^T and the rank-r projector U_r U_r^T;
+        # the QR is not the one gesdd runs, so singular vectors alone can
+        # differ beyond rounding (a rank-deficient set's null space, the
+        # ill-conditioned put design), but the projector moves only by
+        # rounding times the condition number
+        eps = np.finfo(float).eps
         for x in [self.tall_stack()] + [contract_designs(c, 600)[None] for c in
                                         ("put_single", "bestof_call", "basket_call")]:
             a = equilibrated(x)
-            u0, s0, vt0 = np.linalg.svd(a, full_matrices=False)
+            u0, s0, _ = np.linalg.svd(a, full_matrices=False)
             u, s, vt = thin_svd(equilibrated(x))
             assert a.shape[1] >= 11 * a.shape[2] // 6
-            assert s.tobytes() == s0.tobytes() and vt.tobytes() == vt0.tobytes()
-            assert np.abs(u - u0).max() < 1e-13
+            assert np.abs(s - s0).max() < 1e-14
+            assert np.abs((u * s[:, None, :]) @ vt - a).max() < 1e-13
             gram = u.transpose(0, 2, 1) @ u
             assert np.abs(gram - np.eye(u.shape[-1])).max() < 1e-14
+            r = np.count_nonzero(s0 > max(a.shape[1:]) * eps * s0[:, :1], axis=-1)
+            for t in range(len(a)):
+                cond = s0[t, 0] / s0[t, r[t] - 1]
+                p, p0 = u[t, :, :r[t]], u0[t, :, :r[t]]
+                assert np.abs(p @ p.T - p0 @ p0.T).max() < 1e3 * eps * cond
 
     def test_rank_deficient_sets_keep_their_rank(self):
         x = self.tall_stack()
@@ -241,6 +252,24 @@ class TestThinSvd:
         for t in range(2):
             p, p0 = u[t, :, :r[t]], u0[t, :, :r[t]]
             assert np.abs(p @ p.T - p0 @ p0.T).max() < 1e-13
+
+    def test_householder_is_a_compact_wy_factor(self):
+        # Q = I - V T V^T with T upper triangular and V unit lower
+        # trapezoidal, and Q[:, :k] R is the matrix that was factored
+        rng = np.random.default_rng(29)
+        stacks = [self.tall_stack(), rng.standard_normal((2, 7, 12)),
+                  rng.standard_normal((1, 1, 3)), rng.standard_normal((2, 5, 1))]
+        stacks += [contract_designs(c, 300)[None] for c in
+                   ("put_single", "bestof_call", "basket_call")]
+        for x in stacks:
+            a = equilibrated(x)
+            r, v, t = _householder(equilibrated(x))
+            n, k = v.shape[1:]
+            assert not np.tril(t, -1).any()
+            assert (np.triu(v[:, :k], 1) == 0).all() and (v[:, range(k), range(k)] == 1).all()
+            q = np.eye(n) - v @ t @ v.transpose(0, 2, 1)
+            assert np.abs(q.transpose(0, 2, 1) @ q - np.eye(n)).max() < 1e-14
+            assert np.abs(q[..., :k] @ r - a).max() < 1e-13
 
     def test_stacked_call_equals_per_matrix_calls(self):
         x = self.tall_stack()
