@@ -107,7 +107,10 @@ def _cmd_experiment(args: argparse.Namespace, experiment: int) -> int:
             f"intercept={s.intercept:.6g} (se {s.intercept_se:.2g}), r2={s.r2:.4f}"
         )
     if config.out:
-        harness.emit_csv(report, config.out)
+        try:
+            harness.emit_csv(report, config.out)
+        except OSError as exc:  # an unwritable --out is a configuration error, exit 2
+            raise ConfigError(str(exc)) from None
         print(f"# wrote {config.out}")
     return 0
 

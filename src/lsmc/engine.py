@@ -169,7 +169,20 @@ def price_backward(
     z = payout_matrix(paths, payoff)
     stack = BackwardStack(z, paths.n_paths, basis.m, policy)
     step_back(paths, z, basis, [[stack]])
-    return stack.results([paths], basis)[0]
+    lsm_value, loo_value = stack.value[0].T.copy()
+    ranks, fallbacks, flips = stack.ranks[0], stack.fallbacks[0], stack.flips[0]
+    lsm2 = None
+    if policy is not None:
+        lsm2 = pricing_result(
+            stack.held[0], MODE_LSM2, paths, policy.ranks, flips=[0] * len(policy.ranks)
+        )
+    return BackwardPrices(
+        lsm=pricing_result(lsm_value, MODE_LSM, paths, ranks, fallbacks, flips[0]),
+        loo=pricing_result(loo_value, MODE_LOOLSM, paths, ranks, fallbacks, flips[1]),
+        policy=ExercisePolicy(tuple(stack.betas[0]), basis, tuple(int(r) for r in ranks)),
+        european=pricing_result(stack.european[0], MODE_EUROPEAN, paths),
+        lsm2=lsm2,
+    )
 
 
 def step_back(
@@ -204,8 +217,9 @@ class BackwardStack:
     """The consecutive sets of n paths that cover a payout matrix z, part-way through the pass.
 
     Each step regresses one earlier date, latest first, for every set at once
-    on m basis columns, and results reads off the estimators once date 0 is
-    done.  Column 0 of value follows the classical decisions, column 1 the
+    on m basis columns; means reads off each set's prices once date 0 is
+    done, and price_backward reads a one-set stack's arrays into results.
+    Column 0 of value follows the classical decisions, column 1 the
     leave-one-out ones, and held, kept only when a policy is given, the
     policy's.  busy_s totals the time step_back spends on this stack.
     """
@@ -248,26 +262,17 @@ class BackwardStack:
         self.betas[:, i] = fit.beta[..., 0]
         self.ranks[:, i] = fit.rank
 
-    def results(self, sets: list[PathSet], basis: BasisSpec) -> list[BackwardPrices]:
-        """Every estimator's result and the classical policy of each set."""
-        priced = []
-        for k, paths_k in enumerate(sets):
-            lsm_value, loo_value = self.value[k].T.copy()
-            ranks, fallbacks, flips = self.ranks[k], self.fallbacks[k], self.flips[k]
-            lsm2 = None
-            if self.policy is not None:
-                held_ranks = self.policy.ranks
-                lsm2 = pricing_result(
-                    self.held[k], MODE_LSM2, paths_k, held_ranks, flips=[0] * len(held_ranks)
-                )
-            priced.append(BackwardPrices(
-                lsm=pricing_result(lsm_value, MODE_LSM, paths_k, ranks, fallbacks, flips[0]),
-                loo=pricing_result(loo_value, MODE_LOOLSM, paths_k, ranks, fallbacks, flips[1]),
-                policy=ExercisePolicy(tuple(self.betas[k]), basis, tuple(int(r) for r in ranks)),
-                european=pricing_result(self.european[k], MODE_EUROPEAN, paths_k),
-                lsm2=lsm2,
-            ))
-        return priced
+    def means(self, exact_euro: float | None = None) -> np.ndarray:
+        """(n_sets, 2) LSM and LOOLSM price of each set once date 0 is done.
+
+        Given the exact European price, each path first moves by exact_euro
+        minus its European payout, as apply_control_variate moves it.  Each
+        mean runs over a contiguous row of n paths, as a lone set's does.
+        """
+        value = self.value.transpose(0, 2, 1)
+        if exact_euro is not None:
+            value = value + (exact_euro - self.european[:, None, :])
+        return value.mean(axis=-1)
 
 
 def apply_control_variate(

@@ -47,7 +47,7 @@ from .engine import (
     step_back,
 )
 from .errors import ConfigError
-from .market import GbmModel, correlation_factor, generate_paths, split_pool, uniform_schedule
+from .market import GbmModel, correlation_factor, generate_paths, uniform_schedule
 from .oracles import bestof2_european_call, bs_european_put, reference_price
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -461,9 +461,10 @@ def _references(config: ExperimentConfig, key: float):
 
 
 class _Cell(NamedTuple):
-    """One set's result under one estimator, held as scalars so its per-path arrays are freed."""
+    """Results under one estimator without per-path arrays: one set's in experiment 1;
+    in experiment 2 a stack's, whose price is the (n_sets,) array of its sets' prices."""
 
-    price: float
+    price: float | np.ndarray
     flips: int
     min_rank: int
     wall_ms: float
@@ -476,12 +477,12 @@ def _cell(result: PricingResult, wall_ms: float) -> _Cell:
 def _report_row(
     config, key, estimator, m, n_paths, cells, reference, bias=(math.nan, math.nan)
 ) -> ReportRow:
-    """One report row from the per-set cells of an estimator.
+    """One report row from the cells of an estimator.
 
     Offsets are the set prices minus the reference price; bias is the row's
     (mean_bias, bias_se) pair, NaN where undefined.
     """
-    offsets = np.array([c[estimator].price for c in cells]) - reference
+    offsets = np.hstack([c[estimator].price for c in cells]) - reference
     std, se = _spread(offsets)
     mean_bias, bias_se = bias
     return ReportRow(
@@ -490,7 +491,7 @@ def _report_row(
         estimator=estimator,
         m=m,
         n_paths=n_paths,
-        n_mc=len(cells),
+        n_mc=offsets.size,
         mean_offset=float(offsets.mean()),
         std=std,
         se_mean=se,
@@ -612,8 +613,8 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     generated once and priced by one call of the engine's date loop,
     step_back, at max(m_list).  Within a cell, the chunk's sets form one
     stack, and the stacks of every m over the same split form one group.
-    Each set reports an equal share of its stack's busy time, split evenly
-    between the two estimators.
+    Each stack is read off as arrays: its sets' prices, their flips and
+    minimum rank, and its busy time, split evenly between the two estimators.
     """
     if len(config.keys) != 1 or set(config.estimators) != {MODE_LSM, MODE_LOOLSM}:
         raise ConfigError("experiment 2 runs one strike/spot at a time with estimators LSM, LOOLSM")
@@ -640,20 +641,18 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
         ]
         step_back(chunk, z, bases[max(config.m_list)], groups)
 
-        cells: dict = {cell: [] for cell in cells_of}
+        cells = {}
         for group in groups:
-            n_sets, n = group[0].european.shape
-            sets = split_pool(chunk, n_sets)
             for stack in group:
-                share = stack.busy_s * 1e3 / n_sets / 2
-                for lsm, loo, _, mc_euro, _ in stack.results(sets, bases[stack.m]):
-                    bias = lsm.price - loo.price
-                    if config.control_variate:
-                        lsm = apply_control_variate(lsm, exact_euro, mc_euro)
-                        loo = apply_control_variate(loo, exact_euro, mc_euro)
-                    cells[stack.m, config.pool_size // n].append(
-                        {MODE_LSM: _cell(lsm, share), MODE_LOOLSM: _cell(loo, share), "bias": bias}
-                    )
+                raw = stack.means()
+                prices = stack.means(exact_euro) if config.control_variate else raw
+                min_rank, wall_ms = int(stack.ranks.min()), stack.busy_s * 1e3 / 2
+                cell = {
+                    mode: _Cell(prices[:, j], int(stack.flips[:, j].sum()), min_rank, wall_ms)
+                    for j, mode in enumerate((MODE_LSM, MODE_LOOLSM))
+                }
+                cell["bias"] = raw[:, 0] - raw[:, 1]
+                cells[stack.m, config.pool_size // stack.european.shape[1]] = cell
         return cells
 
     per_chunk = _map_sets(run_chunk, n_chunks, config.threads)
@@ -674,8 +673,8 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     points: list[tuple[float, float, float]] = []
     for m, n_mc in cells_of:
         n_per_set = config.pool_size // n_mc
-        cells = [cell for chunk_cells in per_chunk for cell in chunk_cells[m, n_mc]]
-        biases = np.array([c["bias"] for c in cells])
+        cells = [chunk_cells[m, n_mc] for chunk_cells in per_chunk]
+        biases = np.hstack([c["bias"] for c in cells])
         bias = bias_mean, bias_se = float(biases.mean()), _spread(biases)[1]
         for estimator in (MODE_LSM, MODE_LOOLSM):
             report.rows.append(

@@ -239,30 +239,3 @@ def generate_paths(
         antithetic=antithetic,
         pool_offset=offset,
     )
-
-
-def split_pool(pool: PathSet, n_sets: int) -> list[PathSet]:
-    """Split a path pool into n_sets contiguous, disjoint blocks.
-
-    Block k carries pool_offset = k * (N / n_sets); antithetic pairs never
-    straddle a block boundary.  Blocks are views into the parent array.
-    """
-    if n_sets < 1:
-        raise ValueError("n_sets must be positive")
-    if pool.n_paths % n_sets != 0:
-        raise ValueError(f"{n_sets} does not divide the pool size {pool.n_paths}")
-    block = pool.n_paths // n_sets
-    if pool.antithetic and block % 2 != 0:
-        raise ValueError("split would break antithetic pairs across a boundary")
-    return [
-        PathSet(
-            values=pool.values[k * block : (k + 1) * block],
-            times=pool.times,
-            rate=pool.rate,
-            seed=pool.seed,
-            antithetic=pool.antithetic,
-            pool_offset=pool.pool_offset + k * block,
-        )
-        for k in range(n_sets)
-    ]
-

@@ -34,7 +34,7 @@ from lsmc.engine import (
     price_backward,
     step_back,
 )
-from lsmc.market import GbmModel, PathSet, generate_paths, split_pool, uniform_schedule
+from lsmc.market import GbmModel, PathSet, generate_paths, uniform_schedule
 from reference import checked_reference
 
 PUT_MODEL = GbmModel(spot=[100.0], rate=0.05, dividend=[0.02], vol=[0.20], correlation=[[1.0]])
@@ -276,23 +276,26 @@ class TestStackedPass:
     )
 
     @staticmethod
-    def assert_same_results(alone, stacked):
-        for want, got in zip(alone, stacked, strict=True):
-            # LSM, LOOLSM, European and LSM2
-            for a, b in zip(want[:2] + want[3:], got[:2] + got[3:]):
-                np.testing.assert_array_equal(b.per_path_value, a.per_path_value)
-                assert (b.price, b.std_error) == (a.price, a.std_error)
-                assert b.flip_counts == a.flip_counts
-                assert b.ranks == a.ranks
-                assert b.fallback_count == a.fallback_count
-                assert b.provenance == a.provenance
-            for a, b in zip(want[2].coefficients, got[2].coefficients):
-                np.testing.assert_array_equal(b, a)
+    def assert_same_results(alone, stack):
+        """Each set's lone price_backward result equals that set's arrays in the stack."""
+        assert len(alone) == stack.european.shape[0]
+        means, adjusted = stack.means(), stack.means(6.33)
+        for k, (lsm, loo, policy, euro, lsm2) in enumerate(alone):
+            for j, result in enumerate((lsm, loo)):
+                np.testing.assert_array_equal(stack.value[k, :, j], result.per_path_value)
+                np.testing.assert_array_equal(stack.flips[k, j], result.flip_counts)
+                np.testing.assert_array_equal(stack.ranks[k], result.ranks)
+                assert stack.fallbacks[k] == result.fallback_count
+                assert means[k, j] == result.price
+                assert adjusted[k, j] == apply_control_variate(result, 6.33, euro).price
+            np.testing.assert_array_equal(stack.betas[k], policy.coefficients)
+            np.testing.assert_array_equal(stack.held[k], lsm2.per_path_value)
+            np.testing.assert_array_equal(stack.european[k], euro.per_path_value)
 
     @staticmethod
     def assert_stack_matches_alone(paths, payoff, basis):
         """paths(n_paths, offset) generates that many of the pool's paths from offset on."""
-        sets = split_pool(paths(6 * 250, 0), 6)
+        sets = [paths(250, k * 250) for k in range(6)]
         policy = price_backward(sets[0], payoff, basis).policy  # any policy of the right shape
         alone = [price_backward(lone, payoff, basis, policy=policy) for lone in sets]
         for composition in TestStackedPass.COMPOSITIONS:
@@ -301,8 +304,7 @@ class TestStackedPass:
                 z = payout_matrix(chunk, payoff)
                 stack = BackwardStack(z, 250, basis.m, policy)
                 step_back(chunk, z, basis, [[stack]])
-                stacked = stack.results(split_pool(chunk, stop - first), basis)
-                TestStackedPass.assert_same_results(alone[first:stop], stacked)
+                TestStackedPass.assert_same_results(alone[first:stop], stack)
         return alone
 
     @STACK_CASES
@@ -319,16 +321,37 @@ class TestStackedPass:
     @STACK_CASES
     def test_one_group_per_split_matches_each_set_alone(self, model, n_dates, payoff, m):
         # one step_back prices every split of a 1500-path pool, as experiment 2 prices a chunk
-        pool = generate_paths(model, uniform_schedule(n_dates, 1.0), 1500, seed=707)
+        schedule = uniform_schedule(n_dates, 1.0)
+        pool = generate_paths(model, schedule, 1500, seed=707)
         basis = basis_family(payoff.kind, m)
         policy = price_backward(pool, payoff, basis).policy  # any policy of the right shape
         z = payout_matrix(pool, payoff)
-        groups = [[BackwardStack(z, n, basis.m, policy)] for n in (250, 500, 750, 1500)]
+        sizes = (250, 500, 750, 1500)
+        groups = [[BackwardStack(z, n, basis.m, policy)] for n in sizes]
         step_back(pool, z, basis, groups)
-        for (stack,) in groups:
-            sets = split_pool(pool, stack.european.shape[0])
+        for n, (stack,) in zip(sizes, groups):
+            sets = [generate_paths(model, schedule, n, 707, offset=o) for o in range(0, 1500, n)]
             alone = [price_backward(lone, payoff, basis, policy=policy) for lone in sets]
-            self.assert_same_results(alone, stack.results(sets, basis))
+            self.assert_same_results(alone, stack)
+
+    def test_odd_sets_match_each_set_alone(self):
+        # 999-path sets without antithetic pairs: an odd n starts every other
+        # set at an odd row of the stack, off the vector lanes of a lone pass
+        def paths(n_paths, offset):
+            return generate_paths(
+                PUT_MODEL, PUT_SCHEDULE, n_paths, seed=606, antithetic=False, offset=offset
+            )
+
+        pool = paths(7 * 999, 0)
+        policy = price_backward(pool, PUT_PAYOFF, PUT_BASIS).policy  # any policy of the right shape
+        z = payout_matrix(pool, PUT_PAYOFF)
+        stack = BackwardStack(z, 999, PUT_BASIS.m, policy)
+        step_back(pool, z, PUT_BASIS, [[stack]])
+        alone = [
+            price_backward(paths(999, k * 999), PUT_PAYOFF, PUT_BASIS, policy=policy)
+            for k in range(7)
+        ]
+        self.assert_same_results(alone, stack)
 
     def test_rank_deficient_set_leaves_its_neighbours_unchanged(self):
         # every path of set 2 (pool rows 500 to 750) is out of the money at

@@ -520,6 +520,17 @@ class TestCli:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.err[len("error: ")] not in "\"'"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    def test_failed_report_write_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("keys = 100\nn_paths = 400\nn_mc = 2\n")
+        argv = ["experiment1", "--case", "put_single", "--config", str(cfg), "--out", "/dev/full"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith(CSV_COLUMNS)  # the report reached stdout first
+        assert captured.err.startswith("error: cannot write report to '/dev/full': ")
+        assert captured.err.count("\n") == 1
+
     def test_threads_flag_overrides_the_config_file(self, tmp_path, capsys, monkeypatch):
         map_sets, seen = harness._map_sets, []
 

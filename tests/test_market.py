@@ -1,4 +1,4 @@
-"""Path simulation: correlation factors, exactness, determinism, pooling, chunking."""
+"""Path simulation: correlation factors, exactness, determinism, chunking."""
 
 import hashlib
 
@@ -10,7 +10,6 @@ from lsmc.market import (
     GbmModel,
     correlation_factor,
     generate_paths,
-    split_pool,
     uniform_schedule,
 )
 
@@ -140,37 +139,6 @@ class TestGeneratePaths:
         assert var_anti <= var_plain
 
 
-class TestSplitPool:
-    def test_single_split_is_the_pool(self):
-        pool = generate_paths(PUT_MODEL, PUT_SCHEDULE, 128, seed=1)
-        (only,) = split_pool(pool, 1)
-        np.testing.assert_array_equal(only.values, pool.values)
-        assert only.pool_offset == 0
-
-    def test_offsets_and_disjoint_cover(self):
-        pool = generate_paths(PUT_MODEL, PUT_SCHEDULE, 1200, seed=1)
-        sets = split_pool(pool, 10)
-        assert [s.n_paths for s in sets] == [120] * 10
-        assert [s.pool_offset for s in sets] == list(range(0, 1200, 120))
-        np.testing.assert_array_equal(np.concatenate([s.values for s in sets]), pool.values)
-
-    def test_full_scale_split_arithmetic(self):
-        for n_mc in (10, 20, 30, 40, 60, 120, 240, 720):
-            assert 1_440_000 % n_mc == 0
-
-    def test_rejects_nondividing_and_pair_breaking(self):
-        pool = generate_paths(PUT_MODEL, PUT_SCHEDULE, 100, seed=1)
-        with pytest.raises(ValueError, match="does not divide"):
-            split_pool(pool, 7)
-        with pytest.raises(ValueError, match="antithetic pairs"):
-            split_pool(pool, 20)  # blocks of 5 would split pairs
-
-    def test_provenance_distinguishes_blocks(self):
-        pool = generate_paths(PUT_MODEL, PUT_SCHEDULE, 64, seed=1)
-        a, b = split_pool(pool, 2)
-        assert a.provenance != b.provenance
-
-
 # sha256 of generate_paths(model, schedule, 64, seed=12345, antithetic).values,
 # recorded before the correlation product became one flattened matrix product;
 # any change to the arithmetic of path generation moves these digests.
@@ -217,7 +185,9 @@ def test_chunks_are_slices_of_the_pool(family, antithetic):
     chunks = [
         generate_paths(model, schedule, 200, 77, antithetic, offset=o) for o in range(0, 1000, 200)
     ]
-    assert [c.provenance for c in chunks] == [b.provenance for b in split_pool(pool, 5)]
+    # provenance is (seed, antithetic, pool_offset, ...), so it tells chunks apart
+    assert [c.provenance[2] for c in chunks] == list(range(0, 1000, 200))
+    assert len({c.provenance for c in chunks}) == len(chunks)
 
 
 @pytest.mark.parametrize("offset", [-2, 3])
