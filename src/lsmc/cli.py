@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from . import harness
 from .contracts import PAYOFF_KINDS
-from .engine import MODE_EUROPEAN, MODE_LOOLSM, MODE_LSM, MODE_LSM2
+from .engine import MODE_EUROPEAN, MODE_LOOLSM, MODE_LSM, MODE_LSM2, std_error
 from .errors import ConfigError, NumericalError
 from .oracles import reference_price
 
@@ -73,15 +73,24 @@ def _cmd_price(args: argparse.Namespace) -> int:
     config = replace(config, **overrides)
 
     key = config.keys[0]
-    result = harness.price_set(config, key, 0)[args.mode]
+    stack = harness.price_set(config, key, 0)
+    if args.mode == MODE_EUROPEAN:
+        per_path, ranks = stack.european[0], ()
+    elif args.mode == MODE_LSM2:  # the policy's fits, and no regression of its own
+        per_path, ranks = stack.held[0], stack.policy.ranks
+        flips, fallbacks = [0] * len(ranks), 0
+    else:
+        j = (MODE_LSM, MODE_LOOLSM).index(args.mode)
+        per_path, ranks = stack.value[0, :, j], stack.ranks[0]
+        flips, fallbacks = stack.flips[0, j], stack.fallbacks[0]
     print(f"case        {config.case} (key {key:g})")
-    print(f"mode        {result.mode}")
-    print(f"price       {result.price:.6f}")
-    print(f"std_error   {result.std_error:.6f}")
-    if result.ranks:
-        print(f"ranks       {' '.join(str(r) for r in result.ranks)}")
-        print(f"flips       {' '.join(str(f) for f in result.flip_counts)}")
-        print(f"fallbacks   {result.fallback_count}")
+    print(f"mode        {args.mode}")
+    print(f"price       {per_path.mean():.6f}")
+    print(f"std_error   {std_error(per_path, config.antithetic):.6f}")
+    if len(ranks):
+        print(f"ranks       {' '.join(str(r) for r in ranks)}")
+        print(f"flips       {' '.join(str(f) for f in flips)}")
+        print(f"fallbacks   {fallbacks}")
     return 0
 
 

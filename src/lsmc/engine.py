@@ -13,14 +13,14 @@ from is the European Monte Carlo result.  step_back is the one date loop of
 every pass, for experiment 1 and `lsmc price` as for experiment 2, and fits
 only through factor_stack and fit_leading; tests/reference.py repeats it for
 one set, date by date, and must match its values and flips bit for bit.
+Every caller reads its prices and diagnostics off the stepped BackwardStack.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,33 +37,6 @@ MODE_EUROPEAN = "EUROPEAN"
 
 
 @dataclass(frozen=True, eq=False)
-class PricingResult:
-    """One price estimate with its per-path decomposition and diagnostics.
-
-    price is always the mean of per_path_value and std_error, computed when
-    read, its standard error.  ranks and flip_counts have one entry per
-    regression date (t_1 .. t_{I-1}, chronological); maturity carries no
-    regression.  flip_counts counts paths whose exercise decision differs
-    between the full-fit and leave-one-out predictions of this estimator's
-    own value vector at that date.  fallback_count totals leverage-one
-    fallbacks across dates.
-    """
-
-    price: float
-    per_path_value: np.ndarray
-    mode: str
-    ranks: tuple[int, ...]
-    fallback_count: int
-    flip_counts: tuple[int, ...]
-    provenance: tuple
-    antithetic: bool
-
-    @property
-    def std_error(self) -> float:
-        return _std_error(self.per_path_value, self.antithetic)
-
-
-@dataclass(frozen=True, eq=False)
 class ExercisePolicy:
     """Regression coefficients per exercise date t_1 .. t_{I-1}, their basis,
     and the numerical rank of the fit behind each date's coefficients."""
@@ -72,19 +45,10 @@ class ExercisePolicy:
     basis: BasisSpec
     ranks: tuple[int, ...]
 
-
-class BackwardPrices(NamedTuple):
-    """What one backward pass gives for one path set.
-
-    lsm2 is the two-pass result when the pass was given a policy fitted on
-    other paths, else None; european is the mean discounted maturity payout.
-    """
-
-    lsm: PricingResult
-    loo: PricingResult
-    policy: ExercisePolicy
-    european: PricingResult
-    lsm2: PricingResult | None
+    @classmethod
+    def fitted(cls, stack: BackwardStack, basis: BasisSpec) -> ExercisePolicy:
+        """The classical policy that set 0 of a stepped stack fitted on basis."""
+        return cls(tuple(stack.betas[0]), basis, tuple(int(r) for r in stack.ranks[0]))
 
 
 def continue_mask(z, c):
@@ -110,7 +74,7 @@ def payout_matrix(paths: PathSet, payoff: PayoffSpec) -> np.ndarray:
     return z.T
 
 
-def _std_error(per_path: np.ndarray, antithetic: bool) -> float:
+def std_error(per_path: np.ndarray, antithetic: bool) -> float:
     """Standard error of the mean; antithetic pairs are dependent, so the
     estimate is taken over the N/2 pair averages."""
     if antithetic:
@@ -119,37 +83,21 @@ def _std_error(per_path: np.ndarray, antithetic: bool) -> float:
     return float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
 
 
-def pricing_result(
-    per_path: np.ndarray, mode: str, paths: PathSet, ranks=(), fallbacks=0, flips=()
-) -> PricingResult:
-    """Result whose per-path values, priced on `paths`, are per_path."""
-    return PricingResult(
-        price=float(per_path.mean()),
-        per_path_value=per_path,
-        mode=mode,
-        ranks=tuple(int(r) for r in ranks),
-        fallback_count=int(fallbacks),
-        flip_counts=tuple(int(f) for f in flips),
-        provenance=paths.provenance,
-        antithetic=paths.antithetic,
-    )
-
-
-def price_backward(
+def step_set(
     paths: PathSet,
     payoff: PayoffSpec,
     basis: BasisSpec,
     policy: ExercisePolicy | None = None,
-) -> BackwardPrices:
-    """Every estimator's price on one path set, stepped back as one stack.
+) -> BackwardStack:
+    """One path set stepped back to date 0 as a one-set stack.
 
     Each date replaces a value with the payout wherever its decision
     prediction falls below it: the fitted value for MODE_LSM, its
     leave-one-out correction for MODE_LOOLSM.  Given a policy fitted on other
-    paths, a third value vector follows its decisions with no regression: the
-    two-pass estimator MODE_LSM2, which reports the policy's ranks and no
-    flips.  Also returns the classical exercise policy and the European
-    result.
+    paths, the stack's held row follows its decisions with no regression:
+    the two-pass estimator MODE_LSM2.  The stack's european row is the
+    European Monte Carlo payout, and ExercisePolicy.fitted reads its
+    classical policy.
     """
     if basis.case != payoff.kind:
         raise ValueError(f"basis built for {basis.case!r}, payoff is {payoff.kind!r}")
@@ -169,20 +117,7 @@ def price_backward(
     z = payout_matrix(paths, payoff)
     stack = BackwardStack(z, paths.n_paths, basis.m, policy)
     step_back(paths, z, basis, [[stack]])
-    lsm_value, loo_value = stack.value[0].T.copy()
-    ranks, fallbacks, flips = stack.ranks[0], stack.fallbacks[0], stack.flips[0]
-    lsm2 = None
-    if policy is not None:
-        lsm2 = pricing_result(
-            stack.held[0], MODE_LSM2, paths, policy.ranks, flips=[0] * len(policy.ranks)
-        )
-    return BackwardPrices(
-        lsm=pricing_result(lsm_value, MODE_LSM, paths, ranks, fallbacks, flips[0]),
-        loo=pricing_result(loo_value, MODE_LOOLSM, paths, ranks, fallbacks, flips[1]),
-        policy=ExercisePolicy(tuple(stack.betas[0]), basis, tuple(int(r) for r in ranks)),
-        european=pricing_result(stack.european[0], MODE_EUROPEAN, paths),
-        lsm2=lsm2,
-    )
+    return stack
 
 
 def step_back(
@@ -218,8 +153,7 @@ class BackwardStack:
 
     Each step regresses one earlier date, latest first, for every set at once
     on m basis columns; means reads off each set's prices once date 0 is
-    done, and price_backward reads a one-set stack's arrays into results.
-    Column 0 of value follows the classical decisions, column 1 the
+    done.  Column 0 of value follows the classical decisions, column 1 the
     leave-one-out ones, and held, kept only when a policy is given, the
     policy's.  busy_s totals the time step_back spends on this stack.
     """
@@ -263,30 +197,17 @@ class BackwardStack:
         self.ranks[:, i] = fit.rank
 
     def means(self, exact_euro: float | None = None) -> np.ndarray:
-        """(n_sets, 2) LSM and LOOLSM price of each set once date 0 is done.
+        """(n_sets, 2) LSM and LOOLSM price of each set once date 0 is done,
+        with the LSM2 price as a third column when the stack follows a policy.
 
         Given the exact European price, each path first moves by exact_euro
-        minus its European payout, as apply_control_variate moves it.  Each
-        mean runs over a contiguous row of n paths, as a lone set's does.
+        minus its European payout: the control variate, which moves each
+        price by the set's European pricing error and cancels in differences.
+        Each mean runs over a contiguous row of n paths, as a lone set's does.
         """
         value = self.value.transpose(0, 2, 1)
+        if self.policy is not None:
+            value = np.concatenate([value, self.held[:, None, :]], axis=1)
         if exact_euro is not None:
             value = value + (exact_euro - self.european[:, None, :])
         return value.mean(axis=-1)
-
-
-def apply_control_variate(
-    result: PricingResult, exact_euro: float, mc_euro: PricingResult
-) -> PricingResult:
-    """Shift a result by the known European pricing error on the same paths.
-
-    Path n moves by exact_euro - mc_euro.per_path_value[n], so the mean moves
-    by exact_euro - mc_euro.price and the spread of the estimator shrinks by
-    the correlation between the two payouts.  Differences between two results
-    adjusted with the same European run cancel exactly.
-    """
-    if result.provenance != mc_euro.provenance:
-        raise ValueError("control variate must be priced on the same path set as the result")
-    per_path = result.per_path_value + (exact_euro - mc_euro.per_path_value)
-    return replace(result, price=float(per_path.mean()), per_path_value=per_path)
-

@@ -6,7 +6,9 @@ and reports price offsets against the reference table plus per-estimator
 differences from the classical price.  Experiment 2 splits one path pool into
 progressively smaller sets and measures look-ahead bias (classical minus
 leave-one-out price) as a function of the regressors-to-paths ratio, ending
-with a weighted straight-line fit.
+with a weighted straight-line fit.  Both experiments price through the
+engine's stacks and read every estimator off a stepped stack as arrays, in
+one place: _cells.
 
 Seeds derive from the base seed by hashing the run coordinates, so every
 simulation set has its own reproducible stream and no two runs collide.
@@ -40,11 +42,10 @@ from .engine import (
     MODE_LSM,
     MODE_LSM2,
     BackwardStack,
-    PricingResult,
-    apply_control_variate,
+    ExercisePolicy,
     payout_matrix,
-    price_backward,
     step_back,
+    step_set,
 )
 from .errors import ConfigError
 from .market import GbmModel, correlation_factor, generate_paths, uniform_schedule
@@ -444,12 +445,15 @@ def _map_sets(worker, n_sets: int, threads: int) -> list:
 
 
 def _references(config: ExperimentConfig, key: float):
-    """Reference prices of a grid key and its exact European price (the control variate)."""
+    """Reference prices of a grid key and, when the config applies the control
+    variate, the key's exact European price, else None."""
     try:
         ref = reference_price(config.case, key)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
-    if config.case == PUT_SINGLE:
+    if not config.control_variate:
+        exact = None
+    elif config.case == PUT_SINGLE:
         exact = bs_european_put(
             config.spot, config.vol, config.rate, config.dividend, key, config.maturity
         )
@@ -461,17 +465,31 @@ def _references(config: ExperimentConfig, key: float):
 
 
 class _Cell(NamedTuple):
-    """Results under one estimator without per-path arrays: one set's in experiment 1;
-    in experiment 2 a stack's, whose price is the (n_sets,) array of its sets' prices."""
+    """Results under one estimator without per-path arrays, read off one stack:
+    price is the (n_sets,) array of its sets' prices."""
 
-    price: float | np.ndarray
+    price: np.ndarray
     flips: int
     min_rank: int
     wall_ms: float
 
 
-def _cell(result: PricingResult, wall_ms: float) -> _Cell:
-    return _Cell(result.price, sum(result.flip_counts), min(result.ranks, default=0), wall_ms)
+def _cells(stack: BackwardStack, exact_euro: float | None, wall_ms: float) -> dict[str, _Cell]:
+    """The LSM, LOOLSM and, when the stack follows a policy, LSM2 cells of a
+    stepped stack, each given wall_ms; exact_euro applies the control variate.
+
+    LSM2 makes no regression of its own, so it carries no flips and the
+    policy's minimum rank.
+    """
+    prices = stack.means(exact_euro)
+    min_rank = int(stack.ranks.min())
+    cells = {
+        mode: _Cell(prices[:, j], int(stack.flips[:, j].sum()), min_rank, wall_ms)
+        for j, mode in enumerate((MODE_LSM, MODE_LOOLSM))
+    }
+    if stack.policy is not None:
+        cells[MODE_LSM2] = _Cell(prices[:, 2], 0, min(stack.policy.ranks), wall_ms)
+    return cells
 
 
 def _report_row(
@@ -503,15 +521,14 @@ def _report_row(
     )
 
 
-def price_set(config: ExperimentConfig, key: float, k: int) -> dict[str, PricingResult]:
-    """Simulation set k of a grid key, priced by every experiment-1 estimator.
+def price_set(config: ExperimentConfig, key: float, k: int) -> BackwardStack:
+    """Simulation set k of a grid key, stepped back for every experiment-1 estimator.
 
     With LSM2 among the estimators, a backward pass on the set's own policy
     paths fits the exercise policy first.  One backward pass on the
-    valuation paths then gives LSM, LOOLSM, the European result and, under
-    that policy, LSM2, so every estimator values the same paths.  The
-    optional control variate shifts every Bermudan result by the European
-    pricing error of the set.  Returns the results keyed by mode.
+    valuation paths then carries LSM, LOOLSM, the European payout and, under
+    that policy, LSM2, so every estimator values the same paths.  Returns
+    that pass's one-set stack.
     """
     config.check_scales((config.basis_m,), config.n_paths)
     model = config.model_for_key(key)
@@ -525,19 +542,8 @@ def price_set(config: ExperimentConfig, key: float, k: int) -> dict[str, Pricing
 
     policy = None
     if MODE_LSM2 in config.estimators:
-        policy = price_backward(paths("policy"), payoff, basis).policy
-    priced = price_backward(paths(), payoff, basis, policy=policy)
-    results = {MODE_LSM: priced.lsm, MODE_LOOLSM: priced.loo}
-    if policy is not None:
-        results[MODE_LSM2] = priced.lsm2
-    if config.control_variate:
-        exact_euro = _references(config, key)[1]
-        results = {
-            mode: apply_control_variate(result, exact_euro, priced.european)
-            for mode, result in results.items()
-        }
-    results[MODE_EUROPEAN] = priced.european
-    return results
+        policy = ExercisePolicy.fitted(step_set(paths("policy"), payoff, basis), basis)
+    return step_set(paths(), payoff, basis, policy)
 
 
 def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
@@ -548,7 +554,8 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
     so per-set price differences isolate the exercise decision.  A set's
     pricing time, path generation included, is shared equally by the
     requested estimators; the European row, read off the same pass, reports
-    0.  The optional control variate changes no expectation and cancels
+    0.  The optional control variate shifts every Bermudan price by the
+    set's European pricing error; it changes no expectation and cancels
     exactly in the difference columns.
     """
     basis = basis_family(config.case, config.basis_m)
@@ -563,36 +570,32 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
     )
 
     # every key is looked up first, so an off-grid key fails before any path is generated
-    references = {key: _references(config, key)[0] for key in config.keys}
+    references = {key: _references(config, key) for key in config.keys}
     for key in config.keys:
+        ref, exact_euro = references[key]
 
-        def run_set(k: int, _key=key) -> dict:
+        def run_set(k: int, _key=key, _exact_euro=exact_euro) -> dict:
             t0 = time.perf_counter()
-            results = price_set(config, _key, k)
+            stack = price_set(config, _key, k)
             share = (time.perf_counter() - t0) * 1e3 / len(config.estimators)
-            cell = {e: _cell(results[e], share) for e in config.estimators}
-            cell[MODE_EUROPEAN] = _cell(results[MODE_EUROPEAN], 0.0)
+            cell = _cells(stack, _exact_euro, share)
+            cell[MODE_EUROPEAN] = _Cell(stack.european.mean(axis=-1), 0, 0, 0.0)
             return cell
 
         cells = _map_sets(run_set, config.n_mc, config.threads)
-        lsm_prices = (
-            np.array([c[MODE_LSM].price for c in cells]) if MODE_LSM in config.estimators else None
-        )
         for estimator in config.estimators:
             bias = (math.nan, math.nan)
-            if estimator != MODE_LSM and lsm_prices is not None:
-                diffs = np.array([c[estimator].price for c in cells]) - lsm_prices
+            if estimator != MODE_LSM and MODE_LSM in config.estimators:
+                diffs = np.hstack([c[estimator].price - c[MODE_LSM].price for c in cells])
                 bias = (float(diffs.mean()), _spread(diffs)[1])
             report.rows.append(
                 _report_row(
                     config, key, estimator, config.basis_m, config.n_paths, cells,
-                    references[key].bermudan, bias,
+                    ref.bermudan, bias,
                 )
             )
         report.rows.append(
-            _report_row(
-                config, key, MODE_EUROPEAN, 0, config.n_paths, cells, references[key].european
-            )
+            _report_row(config, key, MODE_EUROPEAN, 0, config.n_paths, cells, ref.european)
         )
     return report
 
@@ -613,8 +616,9 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     generated once and priced by one call of the engine's date loop,
     step_back, at max(m_list).  Within a cell, the chunk's sets form one
     stack, and the stacks of every m over the same split form one group.
-    Each stack is read off as arrays: its sets' prices, their flips and
-    minimum rank, and its busy time, split evenly between the two estimators.
+    Each stack is read off by _cells, as experiment 1's sets are: its sets'
+    prices, their flips and minimum rank, and its busy time, split evenly
+    between the two estimators.
     """
     if len(config.keys) != 1 or set(config.estimators) != {MODE_LSM, MODE_LOOLSM}:
         raise ConfigError("experiment 2 runs one strike/spot at a time with estimators LSM, LOOLSM")
@@ -644,13 +648,8 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
         cells = {}
         for group in groups:
             for stack in group:
+                cell = _cells(stack, exact_euro, stack.busy_s * 1e3 / 2)
                 raw = stack.means()
-                prices = stack.means(exact_euro) if config.control_variate else raw
-                min_rank, wall_ms = int(stack.ranks.min()), stack.busy_s * 1e3 / 2
-                cell = {
-                    mode: _Cell(prices[:, j], int(stack.flips[:, j].sum()), min_rank, wall_ms)
-                    for j, mode in enumerate((MODE_LSM, MODE_LOOLSM))
-                }
                 cell["bias"] = raw[:, 0] - raw[:, 1]
                 cells[stack.m, config.pool_size // stack.european.shape[1]] = cell
         return cells

@@ -141,19 +141,6 @@ class PathSet:
     def n_assets(self) -> int:
         return self.values.shape[2]
 
-    @property
-    def provenance(self) -> tuple:
-        """Identity of the generating stream and slice; equal provenance means same paths."""
-        return (
-            self.seed,
-            self.antithetic,
-            self.pool_offset,
-            self.n_paths,
-            self.n_assets,
-            float(self.rate),
-            tuple(float(t) for t in self.times),
-        )
-
 
 def correlation_factor(correlation: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L @ L.T equal to the correlation matrix.

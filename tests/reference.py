@@ -4,7 +4,7 @@ The engine steps every pass through one stacked date loop and keeps no
 per-date record.  This loop repeats the pass for one path set with the same
 calls (payout_matrix, design_matrix, factor_stack, fit_leading,
 loo_predictions, continue_mask), so its final values and flip counts equal
-price_backward's bit for bit, and it hands the tests the per-date regression
+those of step_set's stack bit for bit, and it hands the tests the per-date regression
 internals of the leave-one-out value vector.
 """
 
@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from lsmc.contracts import design_matrix
-from lsmc.engine import BackwardPrices, continue_mask, payout_matrix, price_backward
+from lsmc.engine import BackwardStack, continue_mask, payout_matrix, step_set
 from lsmc.regression import factor_stack, fit_leading, loo_predictions
 
 
@@ -58,14 +58,15 @@ def reference_backward(paths, payoff, basis) -> ReferencePass:
     return ReferencePass(value[:, 0], value[:, 1], lsm_flips, loo_flips, dates)
 
 
-def checked_reference(paths, payoff, basis) -> tuple[BackwardPrices, ReferencePass]:
-    """price_backward's prices and the reference pass, once the pass is seen to
-    give the engine's LSM and LOOLSM values (with ==), flip counts and ranks."""
-    priced = price_backward(paths, payoff, basis)
+def checked_reference(paths, payoff, basis) -> tuple[BackwardStack, ReferencePass]:
+    """step_set's stack and the reference pass, once the pass is seen to give
+    the engine's LSM and LOOLSM values (with ==), flip counts and ranks."""
+    stack = step_set(paths, payoff, basis)
     reference = reference_backward(paths, payoff, basis)
-    lsm, loo = priced.lsm, priced.loo
-    assert (reference.lsm == lsm.per_path_value).all()
-    assert (reference.loo == loo.per_path_value).all()
-    assert (reference.lsm_flips, reference.loo_flips) == (lsm.flip_counts, loo.flip_counts)
-    assert tuple(d.rank for d in reversed(reference.dates)) == loo.ranks
-    return priced, reference
+    assert (reference.lsm == stack.value[0, :, 0]).all()
+    assert (reference.loo == stack.value[0, :, 1]).all()
+    assert (reference.lsm_flips, reference.loo_flips) == (
+        tuple(stack.flips[0, 0]), tuple(stack.flips[0, 1])
+    )
+    assert tuple(d.rank for d in reversed(reference.dates)) == tuple(stack.ranks[0])
+    return stack, reference

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from lsmc.contracts import PUT_SINGLE, PayoffSpec, basis_family
-from lsmc.engine import MODE_LOOLSM, MODE_LSM, price_backward
+from lsmc.engine import MODE_LOOLSM, MODE_LSM, ExercisePolicy, step_set
 from lsmc.harness import default_config, run_experiment1, run_experiment2
 from lsmc.market import GbmModel, generate_paths, uniform_schedule
 from lsmc.oracles import (
@@ -197,8 +197,8 @@ def test_criterion_7_property_suite():
         paths = generate_paths(PUT_MODEL, PUT_SCHEDULE, 4000, seed=2718)
 
         # flip characterization and fitted-value decomposition, date by date
-        priced, reference = checked_reference(paths, payoff, basis)
-        assert priced.loo.fallback_count == 0
+        stack, reference = checked_reference(paths, payoff, basis)
+        assert stack.fallbacks[0] == 0
         for t in reference.dates:
             blend = (1.0 - t.leverage) * t.loo_fitted + t.leverage * t.response
             assert np.allclose(t.fitted, blend, rtol=1e-10, atol=1e-10)
@@ -215,9 +215,10 @@ def test_criterion_7_property_suite():
         p1 = generate_paths(PUT_MODEL, single, 2000, seed=11)
         p2 = generate_paths(PUT_MODEL, single, 2000, seed=12)
         b4 = basis_family(PUT_SINGLE, 4)
-        policy = price_backward(p2, payoff, b4).policy
-        lsm, loo, _, euro, two = price_backward(p1, payoff, b4, policy=policy)
-        assert lsm.price == loo.price == two.price == euro.price
+        policy = ExercisePolicy.fitted(step_set(p2, payoff, b4), b4)
+        single_stack = step_set(p1, payoff, b4, policy=policy)
+        lsm, loo, two = single_stack.means()[0]
+        assert lsm == loo == two == single_stack.european[0].mean()
 
         # the control variate cannot move the measured bias
         tiny = dataclasses.replace(

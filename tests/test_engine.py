@@ -22,17 +22,13 @@ from lsmc.contracts import (
     discounted_payout,
 )
 from lsmc.engine import (
-    MODE_EUROPEAN,
-    MODE_LOOLSM,
-    MODE_LSM,
-    MODE_LSM2,
     BackwardStack,
-    _std_error,
-    apply_control_variate,
+    ExercisePolicy,
     continue_mask,
     payout_matrix,
-    price_backward,
+    std_error,
     step_back,
+    step_set,
 )
 from lsmc.market import GbmModel, PathSet, generate_paths, uniform_schedule
 from reference import checked_reference
@@ -58,6 +54,11 @@ def desk_paths(n=4000, seed=314):
     return generate_paths(PUT_MODEL, PUT_SCHEDULE, n, seed=seed)
 
 
+def fitted_policy(paths, payoff, basis):
+    """The classical exercise policy that a backward pass fits on paths."""
+    return ExercisePolicy.fitted(step_set(paths, payoff, basis), basis)
+
+
 class TestDecideContinue:
     def test_plain_indicator(self):
         assert continue_mask(5.0, 7.0)
@@ -79,23 +80,22 @@ class TestDecideContinue:
 @pytest.mark.filterwarnings("ignore:3 paths for 3 regressors")
 class TestToyCrossSection:
     def test_classical_keeps_the_outlier_path(self):
-        result, _, policy, *_ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
-        assert result.per_path_value == pytest.approx([14.0, 14.0, 9.0], abs=1e-12)
-        assert result.price == pytest.approx(37.0 / 3.0, abs=1e-12)
-        assert result.ranks == (2,)
-        assert len(policy.coefficients) == 1
+        stack = step_set(toy_paths(), TOY_PAYOFF, TOY_BASIS)
+        assert stack.value[0, :, 0] == pytest.approx([14.0, 14.0, 9.0], abs=1e-12)
+        assert stack.means()[0, 0] == pytest.approx(37.0 / 3.0, abs=1e-12)
+        assert stack.ranks[0].tolist() == [2]
+        assert len(ExercisePolicy.fitted(stack, TOY_BASIS).coefficients) == 1
 
     def test_leave_one_out_exercises_the_outlier_path(self):
-        _, result, *_ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
-        assert result.mode == MODE_LOOLSM
-        assert result.per_path_value == pytest.approx([10.0, 10.0, 9.0], abs=1e-12)
-        assert result.price == pytest.approx(29.0 / 3.0, abs=1e-12)
+        stack = step_set(toy_paths(), TOY_PAYOFF, TOY_BASIS)
+        assert stack.value[0, :, 1] == pytest.approx([10.0, 10.0, 9.0], abs=1e-12)
+        assert stack.means()[0, 1] == pytest.approx(29.0 / 3.0, abs=1e-12)
 
     def test_flip_events_match_the_closed_form_characterization(self):
         # decision values: C = (11, 11, 11), C' = (24, 28/3, 16) against Z = (14, 10, 8);
         # path 2 flips continue->exercise, path 1 exercise->continue, path 3 is stable
-        priced, reference = checked_reference(toy_paths(), TOY_PAYOFF, TOY_BASIS)
-        assert priced.loo.flip_counts == (2,)
+        stack, reference = checked_reference(toy_paths(), TOY_PAYOFF, TOY_BASIS)
+        assert stack.flips[0, 1].tolist() == [2]
         (t,) = reference.dates
         assert t.fitted == pytest.approx([11.0, 11.0, 11.0], abs=1e-12)
         assert t.loo_fitted == pytest.approx([24.0, 28.0 / 3.0, 16.0], abs=1e-12)
@@ -110,10 +110,11 @@ class TestToyCrossSection:
         np.testing.assert_array_equal(d_minus, (gap < 0.0) & (gap >= t.leverage * premium))
 
     def test_price_gap_is_the_flip_payload(self):
-        lsm, loo, *_ = price_backward(toy_paths(), TOY_PAYOFF, TOY_BASIS)
-        gap = lsm.per_path_value - loo.per_path_value
+        stack = step_set(toy_paths(), TOY_PAYOFF, TOY_BASIS)
+        gap = stack.value[0, :, 0] - stack.value[0, :, 1]
         assert gap == pytest.approx([4.0, 4.0, 0.0], abs=1e-12)
-        assert lsm.price - loo.price == pytest.approx(8.0 / 3.0, abs=1e-12)
+        lsm, loo = stack.means()[0]
+        assert lsm - loo == pytest.approx(8.0 / 3.0, abs=1e-12)
 
 
 class TestEstimatorIdentities:
@@ -121,27 +122,27 @@ class TestEstimatorIdentities:
         schedule = uniform_schedule(1, 1.0)
         paths = generate_paths(PUT_MODEL, schedule, 2000, seed=21)
         basis = basis_family(PUT_SINGLE, 4)
-        policy = price_backward(generate_paths(PUT_MODEL, schedule, 2000, seed=22),
-                                PUT_PAYOFF, basis).policy
-        lsm, loo, _, euro, two = price_backward(paths, PUT_PAYOFF, basis, policy=policy)
-        assert lsm.price == euro.price == loo.price == two.price
-        assert lsm.ranks == () == two.ranks
+        policy = fitted_policy(generate_paths(PUT_MODEL, schedule, 2000, seed=22),
+                               PUT_PAYOFF, basis)
+        stack = step_set(paths, PUT_PAYOFF, basis, policy=policy)
+        lsm, loo, two = stack.means()[0]
+        assert lsm == stack.european[0].mean() == loo == two
+        assert stack.ranks[0].tolist() == [] and policy.ranks == ()
 
     def test_two_pass_on_its_own_paths_degenerates_to_classical(self):
         paths = desk_paths()
-        lsm, _, policy, *_ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
-        two = price_backward(paths, PUT_PAYOFF, PUT_BASIS, policy=policy).lsm2
-        assert two.price == pytest.approx(lsm.price, abs=1e-12)
-        assert two.mode == MODE_LSM2
-        assert two.ranks == lsm.ranks
-        assert two.flip_counts == (0,) * len(lsm.ranks) and two.fallback_count == 0
+        classical = step_set(paths, PUT_PAYOFF, PUT_BASIS)
+        policy = ExercisePolicy.fitted(classical, PUT_BASIS)
+        two = step_set(paths, PUT_PAYOFF, PUT_BASIS, policy=policy)
+        assert two.means()[0, 2] == pytest.approx(classical.means()[0, 0], abs=1e-12)
+        assert policy.ranks == tuple(classical.ranks[0])
 
     def test_two_pass_rejects_schedule_mismatch(self):
         paths = desk_paths()
         other = generate_paths(PUT_MODEL, uniform_schedule(4, 1.0), 4000, seed=1)
-        policy = price_backward(other, PUT_PAYOFF, PUT_BASIS).policy
+        policy = fitted_policy(other, PUT_PAYOFF, PUT_BASIS)
         with pytest.raises(ValueError, match="policy for 3 date"):
-            price_backward(paths, PUT_PAYOFF, PUT_BASIS, policy=policy)
+            step_set(paths, PUT_PAYOFF, PUT_BASIS, policy=policy)
 
     @pytest.mark.parametrize(
         "basis",
@@ -150,35 +151,35 @@ class TestEstimatorIdentities:
     )
     def test_two_pass_rejects_basis_mismatch(self, basis):
         paths = desk_paths()
-        policy = price_backward(paths, PUT_PAYOFF, basis).policy
+        policy = fitted_policy(paths, PUT_PAYOFF, basis)
         with pytest.raises(ValueError, match="cannot value 4 date"):
-            price_backward(paths, PUT_PAYOFF, PUT_BASIS, policy=policy)
+            step_set(paths, PUT_PAYOFF, PUT_BASIS, policy=policy)
 
     def test_price_is_mean_of_per_path_values(self):
-        lsm, loo, _, euro, _ = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS)
-        assert (lsm.mode, loo.mode, euro.mode) == (MODE_LSM, MODE_LOOLSM, MODE_EUROPEAN)
-        for result in (lsm, loo, euro):
-            assert result.price == result.per_path_value.mean()
+        paths = desk_paths()
+        policy = fitted_policy(desk_paths(seed=315), PUT_PAYOFF, PUT_BASIS)
+        stack = step_set(paths, PUT_PAYOFF, PUT_BASIS, policy=policy)
+        per_path = (stack.value[0, :, 0], stack.value[0, :, 1], stack.held[0])
+        assert stack.means()[0].tolist() == [v.mean() for v in per_path]
 
     def test_pricing_is_deterministic(self):
-        a = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS)
-        b = price_backward(desk_paths(), PUT_PAYOFF, PUT_BASIS)
-        for x, y in zip(a[:2], b[:2]):
-            np.testing.assert_array_equal(x.per_path_value, y.per_path_value)
+        a = step_set(desk_paths(), PUT_PAYOFF, PUT_BASIS)
+        b = step_set(desk_paths(), PUT_PAYOFF, PUT_BASIS)
+        np.testing.assert_array_equal(a.value, b.value)
 
     def test_warns_when_paths_do_not_exceed_regressors(self):
         values = np.exp(np.random.default_rng(0).standard_normal((4, 2, 1))) * 100.0
         tiny = PathSet(values=values, times=np.array([0.5, 1.0]), rate=0.05, seed=0,
                        antithetic=False)
         with pytest.warns(RuntimeWarning, match="regressors"):
-            price_backward(tiny, PUT_PAYOFF, PUT_BASIS)
+            step_set(tiny, PUT_PAYOFF, PUT_BASIS)
 
     def test_classical_exceeds_leave_one_out_on_average(self):
         diffs = []
         for k in range(50):
             paths = generate_paths(PUT_MODEL, PUT_SCHEDULE, 2000, seed=9000 + k)
-            lsm, loo, *_ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
-            diffs.append(lsm.price - loo.price)
+            lsm, loo = step_set(paths, PUT_PAYOFF, PUT_BASIS).means()[0]
+            diffs.append(lsm - loo)
         diffs = np.array(diffs)
         t_stat = diffs.mean() / (diffs.std(ddof=1) / np.sqrt(diffs.size))
         assert t_stat > 3.0
@@ -186,10 +187,10 @@ class TestEstimatorIdentities:
 
 @pytest.fixture(scope="module")
 def reference_run():
-    """The desk run's leave-one-out result and its date records, from a
-    reference pass checked against the engine's."""
-    priced, reference = checked_reference(desk_paths(), PUT_PAYOFF, PUT_BASIS)
-    return priced.loo, reference.dates
+    """The desk run's stepped stack and its leave-one-out date records, from
+    a reference pass checked against the engine's."""
+    stack, reference = checked_reference(desk_paths(), PUT_PAYOFF, PUT_BASIS)
+    return stack, reference.dates
 
 
 class TestSeededRunDiagnostics:
@@ -202,10 +203,10 @@ class TestSeededRunDiagnostics:
             assert np.allclose(t.fitted, blend, rtol=1e-10, atol=1e-10)
 
     def test_flip_sets_match_closed_form_events(self, reference_run):
-        result, dates = reference_run
-        assert result.fallback_count == 0
+        stack, dates = reference_run
+        assert stack.fallbacks[0] == 0
         by_date = {t.date_index: t for t in dates}
-        for i, flips in enumerate(result.flip_counts):
+        for i, flips in enumerate(stack.flips[0, 1]):
             t = by_date[i]
             keep_full = (t.fitted >= t.payout) | (t.payout == 0.0)
             keep_loo = (t.loo_fitted >= t.payout) | (t.payout == 0.0)
@@ -277,27 +278,30 @@ class TestStackedPass:
 
     @staticmethod
     def assert_same_results(alone, stack):
-        """Each set's lone price_backward result equals that set's arrays in the stack."""
+        """Each set's lone one-set stack equals that set's arrays in the stack,
+        and each price of means, raw and shifted, is the mean of the lone row."""
         assert len(alone) == stack.european.shape[0]
         means, adjusted = stack.means(), stack.means(6.33)
-        for k, (lsm, loo, policy, euro, lsm2) in enumerate(alone):
-            for j, result in enumerate((lsm, loo)):
-                np.testing.assert_array_equal(stack.value[k, :, j], result.per_path_value)
-                np.testing.assert_array_equal(stack.flips[k, j], result.flip_counts)
-                np.testing.assert_array_equal(stack.ranks[k], result.ranks)
-                assert stack.fallbacks[k] == result.fallback_count
-                assert means[k, j] == result.price
-                assert adjusted[k, j] == apply_control_variate(result, 6.33, euro).price
-            np.testing.assert_array_equal(stack.betas[k], policy.coefficients)
-            np.testing.assert_array_equal(stack.held[k], lsm2.per_path_value)
-            np.testing.assert_array_equal(stack.european[k], euro.per_path_value)
+        for k, lone in enumerate(alone):
+            euro = lone.european[0]
+            rows = (lone.value[0, :, 0], lone.value[0, :, 1], lone.held[0])
+            for j, row in enumerate(rows):
+                assert means[k, j] == row.mean()
+                assert adjusted[k, j] == (row + (6.33 - euro)).mean()
+            np.testing.assert_array_equal(stack.value[k], lone.value[0])
+            np.testing.assert_array_equal(stack.flips[k], lone.flips[0])
+            np.testing.assert_array_equal(stack.ranks[k], lone.ranks[0])
+            assert stack.fallbacks[k] == lone.fallbacks[0]
+            np.testing.assert_array_equal(stack.betas[k], lone.betas[0])
+            np.testing.assert_array_equal(stack.held[k], lone.held[0])
+            np.testing.assert_array_equal(stack.european[k], euro)
 
     @staticmethod
     def assert_stack_matches_alone(paths, payoff, basis):
         """paths(n_paths, offset) generates that many of the pool's paths from offset on."""
         sets = [paths(250, k * 250) for k in range(6)]
-        policy = price_backward(sets[0], payoff, basis).policy  # any policy of the right shape
-        alone = [price_backward(lone, payoff, basis, policy=policy) for lone in sets]
+        policy = fitted_policy(sets[0], payoff, basis)  # any policy of the right shape
+        alone = [step_set(lone, payoff, basis, policy=policy) for lone in sets]
         for composition in TestStackedPass.COMPOSITIONS:
             for first, stop in composition:
                 chunk = paths((stop - first) * 250, first * 250)
@@ -324,14 +328,14 @@ class TestStackedPass:
         schedule = uniform_schedule(n_dates, 1.0)
         pool = generate_paths(model, schedule, 1500, seed=707)
         basis = basis_family(payoff.kind, m)
-        policy = price_backward(pool, payoff, basis).policy  # any policy of the right shape
+        policy = fitted_policy(pool, payoff, basis)  # any policy of the right shape
         z = payout_matrix(pool, payoff)
         sizes = (250, 500, 750, 1500)
         groups = [[BackwardStack(z, n, basis.m, policy)] for n in sizes]
         step_back(pool, z, basis, groups)
         for n, (stack,) in zip(sizes, groups):
             sets = [generate_paths(model, schedule, n, 707, offset=o) for o in range(0, 1500, n)]
-            alone = [price_backward(lone, payoff, basis, policy=policy) for lone in sets]
+            alone = [step_set(lone, payoff, basis, policy=policy) for lone in sets]
             self.assert_same_results(alone, stack)
 
     def test_odd_sets_match_each_set_alone(self):
@@ -343,12 +347,12 @@ class TestStackedPass:
             )
 
         pool = paths(7 * 999, 0)
-        policy = price_backward(pool, PUT_PAYOFF, PUT_BASIS).policy  # any policy of the right shape
+        policy = fitted_policy(pool, PUT_PAYOFF, PUT_BASIS)  # any policy of the right shape
         z = payout_matrix(pool, PUT_PAYOFF)
         stack = BackwardStack(z, 999, PUT_BASIS.m, policy)
         step_back(pool, z, PUT_BASIS, [[stack]])
         alone = [
-            price_backward(paths(999, k * 999), PUT_PAYOFF, PUT_BASIS, policy=policy)
+            step_set(paths(999, k * 999), PUT_PAYOFF, PUT_BASIS, policy=policy)
             for k in range(7)
         ]
         self.assert_same_results(alone, stack)
@@ -364,71 +368,41 @@ class TestStackedPass:
 
         assert paths(6 * 250, 0).values[500:750, 1, 0].min() > PUT_PAYOFF.strike
         alone = self.assert_stack_matches_alone(paths, PUT_PAYOFF, PUT_BASIS)
-        ranks = [result[0].ranks[1] for result in alone]
+        ranks = [lone.ranks[0, 1] for lone in alone]
         assert ranks == [5, 5, 4, 5, 5, 5]
 
 
 class TestControlVariateAndBias:
     def test_exact_equals_estimate_leaves_result_unchanged(self):
-        paths = desk_paths()
-        result, _, _, euro, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
-        adjusted = apply_control_variate(result, euro.price, euro)
-        assert adjusted.price == pytest.approx(result.price, abs=1e-12)
+        stack = step_set(desk_paths(), PUT_PAYOFF, PUT_BASIS)
+        adjusted = stack.means(exact_euro=stack.european[0].mean())
+        np.testing.assert_allclose(adjusted, stack.means(), rtol=0.0, atol=1e-12)
 
     def test_shared_adjustment_cancels_in_the_difference(self):
-        paths = desk_paths()
-        lsm, loo, _, euro, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
-        raw = lsm.per_path_value - loo.per_path_value
-        lsm_cv, loo_cv = (apply_control_variate(r, 6.33, euro) for r in (lsm, loo))
-        adjusted = lsm_cv.per_path_value - loo_cv.per_path_value
-        assert adjusted.mean() == pytest.approx(raw.mean(), abs=1e-12)
-        np.testing.assert_allclose(adjusted, raw, atol=1e-12)
-
-    def test_mode_and_diagnostics_survive_adjustment(self):
-        paths = desk_paths()
-        _, result, _, euro, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
-        adjusted = apply_control_variate(result, 6.33, euro)
-        assert adjusted.mode == MODE_LOOLSM
-        assert adjusted.ranks == result.ranks
-        assert adjusted.flip_counts == result.flip_counts
-
-    def test_provenance_mismatch_rejected(self):
-        paths, other = desk_paths(seed=1), desk_paths(seed=2)
-        euro_other = price_backward(other, PUT_PAYOFF, PUT_BASIS).european
-        result = price_backward(paths, PUT_PAYOFF, PUT_BASIS).lsm
-        with pytest.raises(ValueError, match="same path set"):
-            apply_control_variate(result, 6.33, euro_other)
+        stack = step_set(desk_paths(), PUT_PAYOFF, PUT_BASIS)
+        (lsm, loo), (lsm_cv, loo_cv) = stack.means()[0], stack.means(6.33)[0]
+        assert lsm_cv - loo_cv == pytest.approx(lsm - loo, abs=1e-12)
 
     def test_identical_runs_have_zero_bias(self):
         paths = desk_paths()
-        a = price_backward(paths, PUT_PAYOFF, PUT_BASIS).lsm
-        b = price_backward(paths, PUT_PAYOFF, PUT_BASIS).lsm
-        assert a.price - b.price == 0.0
-        assert (a.per_path_value - b.per_path_value == 0.0).all()
+        a = step_set(paths, PUT_PAYOFF, PUT_BASIS)
+        b = step_set(paths, PUT_PAYOFF, PUT_BASIS)
+        assert a.means()[0, 0] - b.means()[0, 0] == 0.0
+        assert (a.value[0, :, 0] - b.value[0, :, 0] == 0.0).all()
 
 
 class TestStandardErrors:
     def test_antithetic_error_uses_pair_means(self):
-        paths = desk_paths()
-        euro = price_backward(paths, PUT_PAYOFF, PUT_BASIS).european
-        pairs = euro.per_path_value.reshape(-1, 2).mean(axis=1)
+        euro = step_set(desk_paths(), PUT_PAYOFF, PUT_BASIS).european[0]
+        pairs = euro.reshape(-1, 2).mean(axis=1)
         expected = pairs.std(ddof=1) / np.sqrt(pairs.size)
-        assert euro.std_error == pytest.approx(expected, rel=1e-12)
+        assert std_error(euro, True) == pytest.approx(expected, rel=1e-12)
 
     def test_plain_error_uses_path_spread(self):
         paths = generate_paths(PUT_MODEL, PUT_SCHEDULE, 4000, seed=8, antithetic=False)
-        euro = price_backward(paths, PUT_PAYOFF, PUT_BASIS).european
-        expected = euro.per_path_value.std(ddof=1) / np.sqrt(4000)
-        assert euro.std_error == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("antithetic", [True, False])
-    def test_adjusted_error_follows_the_shifted_values(self, antithetic):
-        paths = generate_paths(PUT_MODEL, PUT_SCHEDULE, 2000, seed=8, antithetic=antithetic)
-        lsm, _, _, euro, _ = price_backward(paths, PUT_PAYOFF, PUT_BASIS)
-        adjusted = apply_control_variate(lsm, 6.33, euro)
-        shifted = lsm.per_path_value + (6.33 - euro.per_path_value)
-        assert adjusted.std_error == _std_error(shifted, antithetic)
-        assert adjusted.std_error < lsm.std_error
+        euro = step_set(paths, PUT_PAYOFF, PUT_BASIS).european[0]
+        expected = euro.std(ddof=1) / np.sqrt(4000)
+        assert std_error(euro, False) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("case", [PUT_SINGLE, BASKET_CALL])
@@ -450,10 +424,9 @@ def test_payout_matrix_is_date_major(case):
 def test_european_zero_vol_is_the_discounted_forward_payoff():
     model = GbmModel(spot=[100.0], rate=0.05, dividend=[0.02], vol=[0.0], correlation=[[1.0]])
     paths = generate_paths(model, PUT_SCHEDULE, 16, seed=0)
-    result = price_backward(paths, PayoffSpec(PUT_SINGLE, strike=120.0), PUT_BASIS).european
+    euro = step_set(paths, PayoffSpec(PUT_SINGLE, strike=120.0), PUT_BASIS).european[0]
     expected = np.exp(-0.05) * (120.0 - 100.0 * np.exp(0.03))
-    assert result.price == pytest.approx(expected, rel=1e-12)
-    assert result.mode == MODE_EUROPEAN
+    assert euro.mean() == pytest.approx(expected, rel=1e-12)
 
 
 def test_rank_zero_regression_is_a_numerical_error():
@@ -465,13 +438,13 @@ def test_rank_zero_regression_is_a_numerical_error():
     payoff = PayoffSpec(PUT_SINGLE, strike=1e-6)
     basis = BasisSpec(PUT_SINGLE, 1, (BasisTerm("payoff"),))
     with pytest.raises(NumericalError, match="rank-zero"):
-        price_backward(paths, payoff, basis)
+        step_set(paths, payoff, basis)
 
 
 @pytest.mark.filterwarnings("ignore:3 paths for 2 regressors")
 def test_custom_basis_without_payoff_term_is_usable():
     # the engine only requires evaluable terms; a (1, S) basis prices the toy
     basis = BasisSpec(PUT_SINGLE, 2, (BasisTerm("const"), BasisTerm("mono", (1,))))
-    result = price_backward(toy_paths(), TOY_PAYOFF, basis).lsm
-    assert result.price == pytest.approx(37.0 / 3.0, abs=1e-12)
-    assert result.ranks == (2,)
+    stack = step_set(toy_paths(), TOY_PAYOFF, basis)
+    assert stack.means()[0, 0] == pytest.approx(37.0 / 3.0, abs=1e-12)
+    assert stack.ranks[0].tolist() == [2]

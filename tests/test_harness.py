@@ -191,6 +191,18 @@ class TestExperiment1:
             if a.estimator == "EUROPEAN":  # the European row is never adjusted
                 assert b.mean_offset == pytest.approx(a.mean_offset, abs=1e-12)
 
+    def test_cells_read_every_estimator_off_one_stack(self):
+        stack = harness.price_set(tiny_exp1(), 100.0, 0)
+        cells = harness._cells(stack, 6.33, 1.5)
+        for j, mode in enumerate(("LSM", "LOOLSM", "LSM2")):
+            assert cells[mode].price.tolist() == [stack.means(6.33)[0, j]]
+            assert cells[mode].wall_ms == 1.5
+        for j, mode in enumerate(("LSM", "LOOLSM")):
+            assert cells[mode].flips == stack.flips[0, j].sum()
+            assert cells[mode].min_rank == stack.ranks.min()
+        # the two-pass estimator makes no regression: no flips, the policy's ranks
+        assert (cells["LSM2"].flips, cells["LSM2"].min_rank) == (0, min(stack.policy.ranks))
+
     def test_missing_reference_price_is_a_config_error(self):
         with pytest.raises(ConfigError, match="known keys"):
             run_experiment1(tiny_exp1(keys=(85.0,)))
