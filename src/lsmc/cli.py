@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import harness
-from .contracts import PAYOFF_KINDS
+from .contracts import BESTOF_CALL, PAYOFF_KINDS
 from .engine import MODE_EUROPEAN, MODE_LOOLSM, MODE_LSM, MODE_LSM2, std_error
 from .errors import ConfigError, NumericalError
 from .oracles import reference_price
@@ -61,12 +61,12 @@ def _cmd_price(args: argparse.Namespace) -> int:
     if args.basis_m is not None:
         overrides["basis_m"] = args.basis_m
     if args.spot is not None:
-        if args.case != "bestof_call":
+        if args.case != BESTOF_CALL:
             overrides["spot"] = args.spot
         else:
             overrides["keys"] = (args.spot,)
     if args.strike is not None:
-        if args.case == "bestof_call":
+        if args.case == BESTOF_CALL:
             overrides["strike"] = args.strike
         else:
             overrides["keys"] = (args.strike,)

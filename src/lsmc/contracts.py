@@ -44,27 +44,21 @@ class PayoffSpec:
         return N_ASSETS[self.kind]
 
 
-def discounted_payout(
-    spec: PayoffSpec, state: np.ndarray, t: float, rate: float
-) -> float | np.ndarray:
-    """exp(-rate * t) times the exercise value at `state`.
-
-    state is either a single J-vector or an (N, J) batch of states; the return
-    type matches.  Non-negative for every supported kind.
-    """
-    s = np.asarray(state, dtype=float)
-    batched = s.ndim == 2
-    s2 = s if batched else s[None, :]
-    if s2.shape[1] != spec.n_assets:
-        raise ValueError(f"{spec.kind} expects {spec.n_assets} asset(s), got {s2.shape[1]}")
+def discounted_payout(spec: PayoffSpec, states: np.ndarray, t: float, rate: float) -> np.ndarray:
+    """exp(-rate * t) times the exercise value of each row of an (N, J) batch
+    of states.  Non-negative for every supported kind."""
+    s = np.asarray(states, dtype=float)
+    if s.ndim != 2 or s.shape[1] != spec.n_assets:
+        raise ValueError(
+            f"{spec.kind} expects (N, J) states of J = {spec.n_assets} asset(s), got shape {s.shape}"
+        )
     if spec.kind == PUT_SINGLE:
-        raw = np.maximum(spec.strike - s2[:, 0], 0.0)
+        raw = np.maximum(spec.strike - s[:, 0], 0.0)
     elif spec.kind == BESTOF_CALL:
-        raw = np.maximum(s2.max(axis=1) - spec.strike, 0.0)
+        raw = np.maximum(s.max(axis=1) - spec.strike, 0.0)
     else:
-        raw = np.maximum(s2 @ BASKET_WEIGHTS - spec.strike, 0.0)
-    out = math.exp(-rate * t) * raw
-    return out if batched else float(out[0])
+        raw = np.maximum(s @ BASKET_WEIGHTS - spec.strike, 0.0)
+    return math.exp(-rate * t) * raw
 
 
 @dataclass(frozen=True)
@@ -94,12 +88,11 @@ class BasisSpec:
     """Ordered list of M regressors for one contract kind."""
 
     case: str
-    m: int
     terms: tuple[BasisTerm, ...]
 
-    def __post_init__(self) -> None:
-        if self.m != len(self.terms):
-            raise ValueError(f"m={self.m} but {len(self.terms)} terms given")
+    @property
+    def m(self) -> int:
+        return len(self.terms)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -155,15 +148,15 @@ def basis_family(case: str, m: int) -> BasisSpec:
         terms = (BasisTerm("const"), BasisTerm("payoff")) + tuple(
             _mono(k) for k in range(1, m - 1)
         )
-        return BasisSpec(case, m, terms)
+        return BasisSpec(case, terms)
     if case == BESTOF_CALL:
         if m not in _BESTOF_M:
             raise ValueError(f"bestof_call basis supports m in {_BESTOF_M}, got {m}")
-        return BasisSpec(case, m, _BESTOF_TERMS[:m])
+        return BasisSpec(case, _BESTOF_TERMS[:m])
     if case == BASKET_CALL:
         if m not in _BASKET_M:
             raise ValueError(f"basket_call basis supports m in {_BASKET_M}, got {m}")
-        return BasisSpec(case, m, _BASKET_TERMS[:m])
+        return BasisSpec(case, _BASKET_TERMS[:m])
     raise ValueError(f"unknown payoff kind {case!r}; expected one of {PAYOFF_KINDS}")
 
 

@@ -64,10 +64,6 @@ def continue_mask(z, c):
 def payout_matrix(paths: PathSet, payoff: PayoffSpec) -> np.ndarray:
     """(N, I) discounted payout of every path at every exercise date, the
     transposed view of a date-major buffer."""
-    if paths.n_assets != payoff.n_assets:
-        raise ValueError(
-            f"{payoff.kind} expects {payoff.n_assets} asset(s), paths carry {paths.n_assets}"
-        )
     z = np.empty((paths.n_dates, paths.n_paths))
     for i, t in enumerate(paths.times):
         z[i] = discounted_payout(payoff, paths.values[:, i, :], float(t), paths.rate)

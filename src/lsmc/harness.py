@@ -48,7 +48,7 @@ from .engine import (
     step_set,
 )
 from .errors import ConfigError
-from .market import GbmModel, correlation_factor, generate_paths, uniform_schedule
+from .market import GbmModel, generate_paths, uniform_schedule
 from .oracles import bestof2_european_call, bs_european_put, reference_price
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -121,10 +121,12 @@ def derive_seed(base_seed: int, *parts) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full description of one experiment run; see default_config for the shipped values.
+    """Full description of one experiment run; default_config builds it with
+    the shipped values of each case and scale.
 
     keys holds strikes for put_single/basket_call and common spots for
-    bestof_call (where `strike` then fixes the contract strike).  Scalar model
+    bestof_call (where `strike` then fixes the contract strike);
+    spot_and_strike is the one place that reads a key.  Scalar model
     parameters apply to every asset of the case.
     """
 
@@ -138,13 +140,13 @@ class ExperimentConfig:
     correlation: float
     n_dates: int
     maturity: float
+    n_paths: int
+    n_mc: int
+    basis_m: int
+    m_list: tuple[int, ...]
+    n_mc_list: tuple[int, ...]
+    pool_size: int
     estimators: tuple[str, ...] = (MODE_LSM, MODE_LSM2, MODE_LOOLSM)
-    n_paths: int = 40_000
-    n_mc: int = 100
-    basis_m: int = 5
-    m_list: tuple[int, ...] = (4, 8, 12)
-    n_mc_list: tuple[int, ...] = (10, 40, 120)
-    pool_size: int = 144_000
     base_seed: int = 20170907
     antithetic: bool = True
     control_variate: bool = False
@@ -200,7 +202,7 @@ class ExperimentConfig:
         try:
             self.schedule()
             for key in self.keys:
-                correlation_factor(self.model_for_key(key).correlation)
+                self.model_for_key(key)
                 self.payoff_for_key(key)
             for m in {self.basis_m, *self.m_list}:
                 basis_family(self.case, m)
@@ -231,10 +233,9 @@ class ExperimentConfig:
         # the mean 2p-th power of a lognormal price is S^2p exp(2p growth + p(2p-1) vol^2 T)
         spread = growth + (degree - 0.5) * self.vol * self.vol * self.maturity
         tail = math.sqrt(2 * math.log(rows)) * self.vol * math.sqrt(self.maturity)
-        bestof = self.case == BESTOF_CALL
-        spots, strikes = (self.keys, (self.strike,)) if bestof else ((self.spot,), self.keys)
-        scales = [("spot", s, spread, tail, degree) for s in spots]
-        scales += [("strike", k, discount, 0.0, 1) for k in strikes]
+        pairs = [self.spot_and_strike(key) for key in self.keys]
+        scales = [("spot", s, spread, tail, degree) for s, _ in pairs]
+        scales += [("strike", k, discount, 0.0, 1) for _, k in pairs]
         for name, scale, rate, margin, power in scales:
             log_scale = max(abs(math.log(scale)), abs(math.log(scale) + rate)) + margin
             if not power * log_scale + math.log(rows) / 2 < _LOG_SQRT_MAX:
@@ -245,16 +246,16 @@ class ExperimentConfig:
                     " must stay a finite positive float"
                 )
 
-    @property
-    def n_assets(self) -> int:
-        return N_ASSETS[self.case]
-
     def schedule(self):
         return uniform_schedule(self.n_dates, self.maturity)
 
+    def spot_and_strike(self, key: float) -> tuple[float, float]:
+        """The common spot and the strike that a grid key stands for."""
+        return (key, self.strike) if self.case == BESTOF_CALL else (self.spot, key)
+
     def model_for_key(self, key: float) -> GbmModel:
-        j = self.n_assets
-        spot = key if self.case == BESTOF_CALL else self.spot
+        j = N_ASSETS[self.case]
+        spot = self.spot_and_strike(key)[0]
         corr = np.full((j, j), self.correlation)
         np.fill_diagonal(corr, 1.0)
         return GbmModel(
@@ -266,8 +267,7 @@ class ExperimentConfig:
         )
 
     def payoff_for_key(self, key: float) -> PayoffSpec:
-        strike = self.strike if self.case == BESTOF_CALL else key
-        return PayoffSpec(kind=self.case, strike=float(strike))
+        return PayoffSpec(kind=self.case, strike=float(self.spot_and_strike(key)[1]))
 
 
 def default_config(case: str, experiment: int = 1, scale: str = "desk") -> ExperimentConfig:
@@ -446,22 +446,24 @@ def _map_sets(worker, n_sets: int, threads: int) -> list:
 
 def _references(config: ExperimentConfig, key: float):
     """Reference prices of a grid key and, when the config applies the control
-    variate, the key's exact European price, else None."""
+    variate, the key's exact European price, else None.  A key off the table,
+    or a model with no closed-form European price, is a ConfigError."""
+    spot, strike = config.spot_and_strike(key)
     try:
         ref = reference_price(config.case, key)
+        if not config.control_variate:
+            return ref, None
+        if config.case == PUT_SINGLE:
+            return ref, bs_european_put(
+                spot, config.vol, config.rate, config.dividend, strike, config.maturity
+            )
+        if config.case == BESTOF_CALL:
+            return ref, bestof2_european_call(config.model_for_key(key), strike, config.maturity)
     except KeyError as exc:
         raise ConfigError(exc.args[0]) from None
-    if not config.control_variate:
-        exact = None
-    elif config.case == PUT_SINGLE:
-        exact = bs_european_put(
-            config.spot, config.vol, config.rate, config.dividend, key, config.maturity
-        )
-    elif config.case == BESTOF_CALL:
-        exact = bestof2_european_call(config.model_for_key(key), config.strike, config.maturity)
-    else:
-        exact = ref.european
-    return ref, exact
+    except ValueError as exc:
+        raise ConfigError(f"no exact European price for the control variate: {exc}") from None
+    return ref, ref.european
 
 
 class _Cell(NamedTuple):

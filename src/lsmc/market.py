@@ -47,7 +47,8 @@ class GbmModel:
     """Risk-neutral GBM parameters for J correlated assets.
 
     dS_j / S_j = (rate - dividend_j) dt + vol_j dW_j,
-    dW_j dW_k = correlation[j, k] dt.
+    dW_j dW_k = correlation[j, k] dt,
+    with the correlation matrix checked by correlation_factor when it is built.
     """
 
     spot: np.ndarray
@@ -68,10 +69,7 @@ class GbmModel:
             raise ValueError("spot prices must be strictly positive")
         if (vol < 0.0).any():
             raise ValueError("volatilities must be non-negative")
-        if not np.allclose(corr, corr.T, atol=1e-12):
-            raise ValueError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(corr), 1.0, atol=1e-12):
-            raise ValueError("correlation matrix must have a unit diagonal")
+        correlation_factor(corr)
         object.__setattr__(self, "spot", spot)
         object.__setattr__(self, "rate", float(self.rate))
         object.__setattr__(self, "dividend", dividend)
@@ -119,15 +117,11 @@ class PathSet:
 
     values[n, i, j] is the price of asset j on path n at exercise date i.
     times and rate are carried along so pricing code can discount payoffs.
-    pool_offset records the origin inside a parent pool (0 if standalone).
     """
 
     values: np.ndarray
     times: np.ndarray
     rate: float
-    seed: int
-    antithetic: bool
-    pool_offset: int = 0
 
     @property
     def n_paths(self) -> int:
@@ -136,10 +130,6 @@ class PathSet:
     @property
     def n_dates(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def n_assets(self) -> int:
-        return self.values.shape[2]
 
 
 def correlation_factor(correlation: np.ndarray) -> np.ndarray:
@@ -181,9 +171,9 @@ def generate_paths(
     paths (2k, 2k+1) share draws with opposite signs, so n_paths must be even.
     The result depends only on (model, schedule, n_paths, seed, antithetic,
     offset).  Paths offset .. offset + n_paths - 1 of a larger pool of the
-    same stream come out bit for bit as that slice of the pool, with
-    pool_offset = offset, so a pool can be generated one chunk at a time; an
-    antithetic chunk must start on a pair, at an even offset.
+    same stream come out bit for bit as that slice of the pool, so a pool
+    can be generated one chunk at a time; an antithetic chunk must start on
+    a pair, at an even offset.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -218,11 +208,4 @@ def generate_paths(
     np.cumsum(values, axis=1, out=values)
     np.exp(values, out=values)
     values *= model.spot
-    return PathSet(
-        values=values,
-        times=schedule.times,
-        rate=model.rate,
-        seed=int(seed),
-        antithetic=antithetic,
-        pool_offset=offset,
-    )
+    return PathSet(values=values, times=schedule.times, rate=model.rate)

@@ -21,25 +21,25 @@ from lsmc.contracts import (
 class TestPayoffs:
     def test_at_the_money_put_is_worthless(self):
         spec = PayoffSpec(PUT_SINGLE, strike=100.0)
-        assert discounted_payout(spec, np.array([100.0]), 0.7, 0.05) == 0.0
+        assert discounted_payout(spec, np.array([[100.0]]), 0.7, 0.05) == 0.0
 
     def test_bestof_call_discounted_value(self):
         spec = PayoffSpec(BESTOF_CALL, strike=100.0)
-        value = discounted_payout(spec, np.array([90.0, 110.0]), 1.0, 0.05)
+        (value,) = discounted_payout(spec, np.array([[90.0, 110.0]]), 1.0, 0.05)
         assert value == pytest.approx(math.exp(-0.05) * 10.0)
         assert value == pytest.approx(9.5123, abs=5e-5)
 
     def test_basket_at_the_money_zero_rate(self):
         spec = PayoffSpec(BASKET_CALL, strike=100.0)
-        assert discounted_payout(spec, np.array([100.0] * 4), 2.5, 0.0) == 0.0
+        assert discounted_payout(spec, np.array([[100.0] * 4]), 2.5, 0.0) == 0.0
 
     def test_batched_evaluation_matches_scalar(self):
+        # each state alone is a one-row batch
         spec = PayoffSpec(BESTOF_CALL, strike=100.0)
         states = np.array([[90.0, 110.0], [120.0, 95.0], [80.0, 70.0]])
         batch = discounted_payout(spec, states, 1.0, 0.05)
-        assert batch == pytest.approx(
-            [discounted_payout(spec, s, 1.0, 0.05) for s in states]
-        )
+        rows = [discounted_payout(spec, s[None, :], 1.0, 0.05) for s in states]
+        assert batch.tobytes() == np.concatenate(rows).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown payoff kind"):
@@ -47,7 +47,7 @@ class TestPayoffs:
         with pytest.raises(ValueError, match="strike"):
             PayoffSpec(PUT_SINGLE, strike=0.0)
         with pytest.raises(ValueError, match="asset"):
-            discounted_payout(PayoffSpec(PUT_SINGLE, strike=100.0), np.ones(2), 1.0, 0.0)
+            discounted_payout(PayoffSpec(PUT_SINGLE, strike=100.0), np.ones((1, 2)), 1.0, 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -65,7 +65,7 @@ class TestPayoffs:
     @given(t1=st.floats(0.01, 5.0), dt=st.floats(0.0, 5.0))
     def test_discounting_monotone_in_time(self, t1, dt):
         spec = PayoffSpec(PUT_SINGLE, strike=100.0)
-        state = np.array([70.0])
+        state = np.array([[70.0]])
         assert discounted_payout(spec, state, t1 + dt, 0.05) <= discounted_payout(
             spec, state, t1, 0.05
         ) + 1e-15

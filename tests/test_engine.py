@@ -41,9 +41,7 @@ PUT_BASIS = basis_family(PUT_SINGLE, 5)
 
 def toy_paths() -> PathSet:
     values = np.array([[[6.0], [10.0]], [[10.0], [6.0]], [[12.0], [11.0]]])
-    return PathSet(
-        values=values, times=np.array([0.5, 1.0]), rate=0.0, seed=0, antithetic=False
-    )
+    return PathSet(values=values, times=np.array([0.5, 1.0]), rate=0.0)
 
 
 TOY_PAYOFF = PayoffSpec(PUT_SINGLE, strike=20.0)
@@ -146,7 +144,7 @@ class TestEstimatorIdentities:
 
     @pytest.mark.parametrize(
         "basis",
-        [basis_family(PUT_SINGLE, 4), BasisSpec(PUT_SINGLE, 5, PUT_BASIS.terms[::-1])],
+        [basis_family(PUT_SINGLE, 4), BasisSpec(PUT_SINGLE, PUT_BASIS.terms[::-1])],
         ids=["fewer_terms", "reordered_terms"],
     )
     def test_two_pass_rejects_basis_mismatch(self, basis):
@@ -169,10 +167,11 @@ class TestEstimatorIdentities:
 
     def test_warns_when_paths_do_not_exceed_regressors(self):
         values = np.exp(np.random.default_rng(0).standard_normal((4, 2, 1))) * 100.0
-        tiny = PathSet(values=values, times=np.array([0.5, 1.0]), rate=0.05, seed=0,
-                       antithetic=False)
+        tiny = PathSet(values=values, times=np.array([0.5, 1.0]), rate=0.05)
+        # with no more paths than regressors every row has leverage ~ 1
         with pytest.warns(RuntimeWarning, match="regressors"):
-            step_set(tiny, PUT_PAYOFF, PUT_BASIS)
+            with pytest.warns(RuntimeWarning, match="leverage ~ 1 fell back"):
+                step_set(tiny, PUT_PAYOFF, PUT_BASIS)
 
     def test_classical_exceeds_leave_one_out_on_average(self):
         diffs = []
@@ -410,10 +409,7 @@ def test_payout_matrix_is_date_major(case):
     payoff = PayoffSpec(case, strike=100.0)
     rng = np.random.default_rng(4)
     values = rng.lognormal(np.log(100.0), 0.2, size=(300, 4, payoff.n_assets))
-    paths = PathSet(
-        values=values, times=np.array([0.25, 0.5, 0.75, 1.0]), rate=0.05, seed=0,
-        antithetic=False,
-    )
+    paths = PathSet(values=values, times=np.array([0.25, 0.5, 0.75, 1.0]), rate=0.05)
     z = payout_matrix(paths, payoff)
     assert z.shape == (300, 4) and z.T.flags.c_contiguous
     for i, t in enumerate(paths.times):
@@ -436,7 +432,7 @@ def test_rank_zero_regression_is_a_numerical_error():
 
     paths = desk_paths(n=64)
     payoff = PayoffSpec(PUT_SINGLE, strike=1e-6)
-    basis = BasisSpec(PUT_SINGLE, 1, (BasisTerm("payoff"),))
+    basis = BasisSpec(PUT_SINGLE, (BasisTerm("payoff"),))
     with pytest.raises(NumericalError, match="rank-zero"):
         step_set(paths, payoff, basis)
 
@@ -444,7 +440,7 @@ def test_rank_zero_regression_is_a_numerical_error():
 @pytest.mark.filterwarnings("ignore:3 paths for 2 regressors")
 def test_custom_basis_without_payoff_term_is_usable():
     # the engine only requires evaluable terms; a (1, S) basis prices the toy
-    basis = BasisSpec(PUT_SINGLE, 2, (BasisTerm("const"), BasisTerm("mono", (1,))))
+    basis = BasisSpec(PUT_SINGLE, (BasisTerm("const"), BasisTerm("mono", (1,))))
     stack = step_set(toy_paths(), TOY_PAYOFF, basis)
     assert stack.means()[0, 0] == pytest.approx(37.0 / 3.0, abs=1e-12)
     assert stack.ranks[0].tolist() == [2]

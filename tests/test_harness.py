@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from lsmc import harness
 from lsmc.cli import main
+from lsmc.contracts import N_ASSETS
 from lsmc.errors import ConfigError
 from lsmc.market import generate_paths
 from lsmc.harness import (
@@ -335,7 +336,7 @@ class TestExperiment2:
             default_config("basket_call", 2, "desk"),
             pool_size=48_000, n_mc_list=(10, 40), m_list=(6, 16), threads=1,
         )
-        pool_bytes = config.pool_size * config.n_dates * config.n_assets * 8
+        pool_bytes = config.pool_size * config.n_dates * N_ASSETS[config.case] * 8
         tracemalloc.start()
         try:
             run_experiment2(config)
@@ -501,6 +502,8 @@ class TestCli:
                 "experiment2 --case put_single",
                 "estimators = LSM2\npool_size = 2400\nn_mc_list = 2, 4\nm_list = 5, 2",
             ),
+            ("experiment1 --case bestof_call", "vol = 0\ncontrol_variate = true"),
+            ("experiment1 --case bestof_call", "correlation = 1\ncontrol_variate = true"),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
@@ -511,7 +514,8 @@ class TestCli:
              "basis_power_overflow", "price_strike_overflow", "bestof_strike_overflow",
              "price_column_norm_overflow", "price_largest_path_overflow",
              "put_unread_negative_strike", "bestof_unread_zero_spot", "repeated_key",
-             "repeated_estimator", "experiment2_estimators"],
+             "repeated_estimator", "experiment2_estimators", "bestof_cv_zero_vol",
+             "bestof_cv_unit_correlation"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):

@@ -46,6 +46,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="unit diagonal"):
             GbmModel(spot=[1.0, 1.0], rate=0.0, dividend=[0.0, 0.0], vol=[0.2, 0.2],
                      correlation=[[0.9, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="positive semidefinite"):  # when built
+            GbmModel(spot=[1.0, 1.0], rate=0.0, dividend=[0.0, 0.0], vol=[0.2, 0.2],
+                     correlation=[[1.0, 1.2], [1.2, 1.0]])
 
     def test_antithetic_needs_even_path_count(self):
         with pytest.raises(ValueError, match="even"):
@@ -181,7 +184,6 @@ def test_chunks_are_slices_of_the_pool(family, antithetic):
     for offset in (0, 398, 800):
         chunk = generate_paths(model, schedule, 200, 77, antithetic, offset=offset)
         assert chunk.values.tobytes() == pool.values[offset : offset + 200].tobytes()
-        assert chunk.pool_offset == offset
 
 
 @pytest.mark.parametrize("offset", [-2, 3])
