@@ -11,7 +11,8 @@ row-wise from the orthonormal factor, never by forming the N x N projector.
 The thin SVD is Householder QR, then the SVD of the small triangular factor
 R.  The QR is LAPACK's dgeqrt, which returns the reflectors together with
 their compact WY factor T (Schreiber & Van Loan, 1989), and the orthonormal
-factor is formed from them by matrix products.  The QR
+factor is formed from them by matrix products.  dgeqrt runs without the
+interpreter lock, so pool threads factor their sets in parallel.  The QR
 (factor_stack) and the rest (fit_leading) are separate steps, so one QR of a
 wide design serves fits on any of its leading columns.  The pair is the only
 fit API, called alike by the engine and the tests (the reference backward
@@ -20,16 +21,26 @@ loop among them), on an (S, N, M) design stack with an (S, N, k) response.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrt
+from scipy.linalg import cython_lapack
 
 # 1 - h below this threshold is treated as a leverage-one singularity: the
 # leave-one-out prediction falls back to the full-fit value for that row.
 LEVERAGE_EPS = 1e-10
+
+# LAPACK's dgeqrt(m, n, nb, a, lda, t, ldt, work, info), all pointers, from the
+# capsule scipy exports for Cython; a CFUNCTYPE call drops the interpreter lock
+_api, _object = ctypes.pythonapi, ctypes.py_object
+_capsule = cython_lapack.__pyx_capi__["dgeqrt"]
+_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, _object)(("PyCapsule_GetName", _api))(_capsule)
+_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, _object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", _api))(_capsule, _name)
+_dgeqrt = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 9)(_pointer)
 
 
 def _first_nonfinite(a: np.ndarray) -> tuple[int, ...]:
@@ -77,23 +88,32 @@ class StackFactorization(NamedTuple):
 
 
 def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """R, V and T of an (S, N, M) stack whose matrices are each Fortran-ordered;
+    """R, V and T of an (S, N, M) stack of Fortran-ordered float64 matrices;
     V is a view of a, which is overwritten.  Each set is one call of LAPACK's
     dgeqrt with block size K = min(N, M): the recursive QR of Elmroth and
-    Gustavson (2000), which returns T with the reflectors.  scipy's dgeqrt
-    holds the interpreter lock (its dgeqrf does not)."""
+    Gustavson (2000), which returns T with the reflectors.  Any other stack,
+    which LAPACK would misread, is a ValueError."""
     n_sets, n, m = a.shape
+    if a.dtype != np.float64 or not a.flags.writeable or a.strides[1:] != (8, 8 * n):
+        raise ValueError("can only factor a writeable float64 stack of Fortran-ordered matrices")
     k = min(n, m)
     t = np.empty((n_sets, k, k))
+    work = np.empty(k * m)
+    ints = np.array([n, m, k, n, k, 0], dtype=np.intc)
+    at = ints.ctypes.data
+    rows, cols, nb, lda, ldt, info = range(at, at + ints.nbytes, ints.itemsize)
+    a_0, t_0, w = a.ctypes.data, t.ctypes.data, work.ctypes.data
     for j in range(n_sets):
-        _, t[j], _ = dgeqrt(k, a[j], overwrite_a=True)
+        _dgeqrt(rows, cols, nb, a_0 + j * a.strides[0], lda, t_0 + j * t.strides[0], ldt, w, info)
+        if ints[5]:
+            raise RuntimeError(f"LAPACK dgeqrt failed on set {j} with info {ints[5]}")
     r = np.triu(a[:, :k, :])
     # a becomes V: the reflectors below the diagonal, ones on it, zeros above
     v = a[:, :, :k]
     top = v[:, :k, :]
     top[...] = np.tril(top, -1) + np.eye(k)
-    # LAPACK leaves T's strictly lower triangle undefined
-    return r, v, np.triu(t)
+    # LAPACK writes each T column-major and leaves its strict lower triangle undefined
+    return r, v, np.triu(t.transpose(0, 2, 1))
 
 
 def _leading_svd(r, v, t, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,11 +5,16 @@ worked reference: the full fit is y = 1 + x, the middle point's self-excluded
 prediction is -2/3, and its leverage values are (13/14, 5/14, 5/7).
 """
 
+import ctypes
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
+from lsmc import regression
 from lsmc.contracts import basis_family, design_matrix
 from lsmc.engine import payout_matrix
 from lsmc.harness import default_config
@@ -278,6 +283,60 @@ class TestThinSvd:
             alone = thin_svd(equilibrated(x[t:t + 1]))
             for got, want in zip(stacked, alone):
                 assert got[t].tobytes() == want[0].tobytes()
+
+
+class TestHouseholderCall:
+    """_householder calls LAPACK's dgeqrt through its C pointer, without the
+    interpreter lock; the numbers are those of scipy's f2py wrapper."""
+
+    @pytest.mark.parametrize("shape", [(1, 40000, 16), (12, 1200, 16), (3, 16, 16),
+                                       (2, 5, 9), (4, 300, 4)])
+    def test_bytes_equal_scipy_wrapper(self, shape):
+        rng = np.random.default_rng(shape[1])
+        x = rng.standard_normal(shape) * rng.uniform(0.01, 100.0, shape[-1])
+        r, v, t = _householder(equilibrated(x))
+        assert t.flags.c_contiguous
+        k = min(shape[1:])
+        for j, a in enumerate(equilibrated(x)):
+            a, t_j, info = lapack.dgeqrt(k, a, overwrite_a=True)
+            assert info == 0
+            v_j = np.tril(a[:, :k], -1)
+            v_j[range(k), range(k)] = 1.0
+            assert r[j].tobytes() == np.triu(a[:k]).tobytes()
+            assert np.ascontiguousarray(v[j]).tobytes() == v_j.tobytes()
+            assert t[j].tobytes() == np.triu(t_j).tobytes()
+
+    def test_threads_factor_as_one_thread_does(self):
+        # shapes differ, so sizes or work space shared between calls would show
+        rng = np.random.default_rng(41)
+        stacks = [rng.standard_normal(shape) * rng.uniform(0.01, 100.0, shape[-1])
+                  for shape in [(40, 2000, 16), (40, 1500, 12), (40, 9, 14), (40, 3000, 8)]]
+        serial = [factor_stack(x) for x in stacks]
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(factor_stack, stacks))
+        for got, want in zip(threaded, serial):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_call_releases_the_interpreter_lock(self):
+        assert regression._dgeqrt._flags_ & ctypes._FUNCFLAG_PYTHONAPI == 0
+
+    def test_refuses_what_lapack_would_misread(self):
+        x = np.random.default_rng(5).standard_normal((3, 40, 6))
+        read_only = equilibrated(x)
+        read_only.flags.writeable = False
+        for bad in (np.ascontiguousarray(x), equilibrated(x).astype(np.float32), read_only,
+                    equilibrated(x)[:, ::2]):
+            with pytest.raises(ValueError, match="Fortran-ordered"):
+                _householder(bad)
+
+    def test_lapack_failure_is_raised(self, monkeypatch):
+        def failing(*args):
+            ctypes.c_int.from_address(args[-1]).value = -4
+
+        monkeypatch.setattr(regression, "_dgeqrt", failing)
+        with pytest.raises(RuntimeError, match="info -4"):
+            _householder(equilibrated(np.ones((2, 5, 3))))
 
 
 class TestLeadingColumnFits:
