@@ -13,6 +13,7 @@ import sys
 from dataclasses import replace
 
 from . import harness
+from .config import default_config, load_config_file
 from .contracts import BESTOF_CALL, PAYOFF_KINDS
 from .engine import MODE_EUROPEAN, MODE_LOOLSM, MODE_LSM, MODE_LSM2, std_error
 from .errors import ConfigError, NumericalError
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
-    config = harness.default_config(args.case, experiment=1, scale="paper")
+    config = default_config(args.case, experiment=1, scale="paper")
     # the policy pass runs only when LSM2 is asked for
     estimators = (MODE_LSM2,) if args.mode == MODE_LSM2 else (MODE_LSM, MODE_LOOLSM)
     overrides: dict = {"n_paths": args.paths, "base_seed": args.seed, "estimators": estimators}
@@ -95,11 +96,11 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace, experiment: int) -> int:
-    config = harness.default_config(args.case, experiment=experiment, scale=args.scale)
-    overrides = harness.load_config_file(args.config) if args.config else {}
+    config = default_config(args.case, experiment=experiment, scale=args.scale)
+    overrides = load_config_file(args.config) if args.config else {}
     if args.threads is not None:
         overrides["threads"] = args.threads
-    if args.out:
+    if args.out is not None:
         overrides["out"] = args.out
     if "case" in overrides and overrides["case"] != args.case:
         raise ConfigError(f"--case {args.case} conflicts with config case {overrides['case']}")
@@ -115,7 +116,7 @@ def _cmd_experiment(args: argparse.Namespace, experiment: int) -> int:
             f"# bias ~ slope * M/N + intercept: slope={s.slope:.6g} (se {s.slope_se:.2g}), "
             f"intercept={s.intercept:.6g} (se {s.intercept_se:.2g}), r2={s.r2:.4f}"
         )
-    if config.out:
+    if config.out is not None:
         try:
             harness.emit_csv(report, config.out)
         except OSError as exc:  # an unwritable --out is a configuration error, exit 2

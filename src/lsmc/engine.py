@@ -163,7 +163,6 @@ class BackwardStack:
         # runs over whole rows of N paths instead of an innermost axis of 2
         self.value = np.empty((n_sets, 2, n)).transpose(0, 2, 1)
         self.value[...] = self.european[..., None]
-        self.keep = np.empty((n_sets, 2, n), dtype=bool).transpose(0, 2, 1)
         self.betas = np.empty((n_sets, n_dates - 1, m))
         self.ranks = np.zeros((n_sets, n_dates - 1), dtype=int)
         self.flips = np.zeros((n_sets, 2, n_dates - 1), dtype=int)
@@ -183,9 +182,8 @@ class BackwardStack:
         keep_full = continue_mask(zi[..., None], fit.fitted)
         keep_loo = continue_mask(zi[..., None], c_loo)
         self.flips[..., i] = np.count_nonzero(keep_full != keep_loo, axis=-2)
-        self.keep[..., 0] = keep_full[..., 0]
-        self.keep[..., 1] = keep_loo[..., 1]
-        np.copyto(self.value, zi[..., None], where=~self.keep)
+        np.copyto(self.value[..., 0], zi, where=~keep_full[..., 0])
+        np.copyto(self.value[..., 1], zi, where=~keep_loo[..., 1])
         if self.policy is not None:
             c = x @ self.policy.coefficients[i]
             np.copyto(self.held, zi, where=~continue_mask(zi, c))

@@ -8,7 +8,7 @@ progressively smaller sets and measures look-ahead bias (classical minus
 leave-one-out price) as a function of the regressors-to-paths ratio, ending
 with a weighted straight-line fit.  Both experiments price through the
 engine's stacks and read every estimator off a stepped stack as arrays, in
-one place: _cells.
+one place: _cells.  Each run is described by an lsmc.config.ExperimentConfig.
 
 Seeds derive from the base seed by hashing the run coordinates, so every
 simulation set has its own reproducible stream and no two runs collide.
@@ -18,24 +18,16 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
-from types import NoneType, UnionType
-from typing import NamedTuple, get_args, get_origin, get_type_hints
+from typing import NamedTuple
 
 import numpy as np
 
-from .contracts import (
-    BASKET_CALL,
-    BESTOF_CALL,
-    N_ASSETS,
-    PAYOFF_KINDS,
-    PUT_SINGLE,
-    PayoffSpec,
-    basis_family,
-)
+# default_config is also read from here by callers that import only the harness
+from .config import ExperimentConfig, default_config  # noqa: F401
+from .contracts import BESTOF_CALL, PUT_SINGLE, basis_family
 from .engine import (
     MODE_EUROPEAN,
     MODE_LOOLSM,
@@ -48,64 +40,15 @@ from .engine import (
     step_set,
 )
 from .errors import ConfigError
-from .market import GbmModel, generate_paths, uniform_schedule
+from .market import generate_paths
 from .oracles import bestof2_european_call, bs_european_put, reference_price
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_LOG_SQRT_MAX = math.log(np.finfo(float).max) / 2
 
 CSV_COLUMNS = (
     "case,key,estimator,M,N,n_mc,mean_offset,std,se_mean,"
     "mean_bias,bias_se,flips_total,min_rank,wall_ms"
 )
-
-_CASE_DEFAULTS: dict[str, dict] = {
-    PUT_SINGLE: dict(
-        keys=(80.0, 90.0, 100.0, 110.0, 120.0),
-        spot=100.0,
-        strike=100.0,
-        rate=0.05,
-        dividend=0.02,
-        vol=0.20,
-        correlation=0.0,
-        n_dates=5,
-        maturity=1.0,
-        basis_m=5,
-        m_list=(4, 8, 12),
-    ),
-    BESTOF_CALL: dict(
-        keys=(90.0, 100.0, 110.0),
-        spot=100.0,
-        strike=100.0,
-        rate=0.05,
-        dividend=0.10,
-        vol=0.20,
-        correlation=0.0,
-        n_dates=9,
-        maturity=3.0,
-        basis_m=11,
-        m_list=(4, 7, 11),
-    ),
-    BASKET_CALL: dict(
-        keys=(60.0, 80.0, 100.0, 120.0, 140.0),
-        spot=100.0,
-        strike=100.0,
-        rate=0.0,
-        dividend=0.0,
-        vol=0.40,
-        correlation=0.5,
-        n_dates=10,
-        maturity=5.0,
-        basis_m=16,
-        m_list=(6, 10, 16),
-    ),
-}
-
-_SCALE_EXP1 = {"desk": dict(n_paths=10_000, n_mc=20), "paper": dict(n_paths=40_000, n_mc=100)}
-_SCALE_EXP2 = {
-    "desk": dict(pool_size=144_000, n_mc_list=(10, 40, 120)),
-    "paper": dict(pool_size=1_440_000, n_mc_list=(10, 20, 30, 40, 60, 120, 240, 720)),
-}
 
 
 def derive_seed(base_seed: int, *parts) -> int:
@@ -117,232 +60,6 @@ def derive_seed(base_seed: int, *parts) -> int:
     tag = "|".join(str(p) for p in parts).encode()
     h = int.from_bytes(hashlib.blake2b(tag, digest_size=8).digest(), "little")
     return (base_seed ^ h) & _MASK64
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one experiment run; default_config builds it with
-    the shipped values of each case and scale.
-
-    keys holds strikes for put_single/basket_call and common spots for
-    bestof_call (where `strike` then fixes the contract strike);
-    spot_and_strike is the one place that reads a key.  Scalar model
-    parameters apply to every asset of the case.
-    """
-
-    case: str
-    keys: tuple[float, ...]
-    spot: float
-    strike: float
-    rate: float
-    dividend: float
-    vol: float
-    correlation: float
-    n_dates: int
-    maturity: float
-    n_paths: int
-    n_mc: int
-    basis_m: int
-    m_list: tuple[int, ...]
-    n_mc_list: tuple[int, ...]
-    pool_size: int
-    estimators: tuple[str, ...] = (MODE_LSM, MODE_LSM2, MODE_LOOLSM)
-    base_seed: int = 20170907
-    antithetic: bool = True
-    control_variate: bool = False
-    threads: int = 1
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.case not in PAYOFF_KINDS:
-            raise ConfigError(f"unknown case {self.case!r}; expected one of {PAYOFF_KINDS}")
-        for name in _FLOAT_FIELDS:
-            if not np.isfinite(getattr(self, name)).all():
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("spot", "strike"):  # also where the case reads its keys instead
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.keys:
-            raise ConfigError("at least one strike/spot key is required")
-        bad = [e for e in self.estimators if e not in (MODE_LSM, MODE_LSM2, MODE_LOOLSM)]
-        if bad or not self.estimators:
-            raise ConfigError(f"estimators must be a non-empty subset of LSM/LSM2/LOOLSM, got {bad}")
-        if self.antithetic and self.n_paths % 2 != 0:
-            raise ConfigError("n_paths must be even under antithetic sampling")
-        if self.n_dates < 2:
-            raise ConfigError(f"n_dates must be at least 2, got {self.n_dates}")
-        if self.n_paths <= self.basis_m:
-            raise ConfigError(f"n_paths {self.n_paths} must exceed basis_m {self.basis_m}")
-        if self.n_mc < 1 or not self.n_mc_list or min(self.n_mc_list) < 1 or not self.m_list:
-            raise ConfigError("n_mc, n_mc_list and m_list must be non-empty and positive")
-        for name in ("keys", "estimators", "n_mc_list", "m_list"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ConfigError(f"{name} repeats an entry: {values}")
-        for n_mc in self.n_mc_list:
-            if self.pool_size % n_mc != 0:
-                raise ConfigError(f"pool_size {self.pool_size} is not divisible by n_mc {n_mc}")
-            if self.antithetic and (self.pool_size // n_mc) % 2 != 0:
-                raise ConfigError(
-                    f"pool_size {self.pool_size} split {n_mc} ways leaves"
-                    f" {self.pool_size // n_mc} paths per set, which breaks antithetic pairs"
-                )
-        smallest_set = self.pool_size // max(self.n_mc_list)
-        if smallest_set <= max(self.m_list):
-            raise ConfigError(
-                f"pool_size {self.pool_size} split {max(self.n_mc_list)} ways leaves"
-                f" {smallest_set} paths per set, not more than m {max(self.m_list)}"
-            )
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
-        if self.out is not None:
-            folder = os.path.dirname(os.path.abspath(self.out))
-            if not os.path.isdir(folder) or os.path.isdir(self.out):
-                raise ConfigError(f"out {self.out!r} is not a file in an existing directory")
-        try:
-            self.schedule()
-            for key in self.keys:
-                self.model_for_key(key)
-                self.payoff_for_key(key)
-            for m in {self.basis_m, *self.m_list}:
-                basis_family(self.case, m)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        # these factors scale the prices, and the standard errors square them
-        discount, growth = -self.rate * self.maturity, (self.rate - self.dividend) * self.maturity
-        if not max(abs(discount), abs(growth)) < _LOG_SQRT_MAX:
-            raise ConfigError(
-                f"rate {self.rate} and dividend {self.dividend} give a discount factor of"
-                f" exp({discount:.6g}) and a forward growth of exp({growth:.6g}) over maturity"
-                f" {self.maturity}; both squares must be finite positive floats"
-            )
-
-    def check_scales(self, sizes: tuple[int, ...], rows: int) -> None:
-        """Refuse a spot or strike too large for the regressions of a run.
-
-        sizes are the basis sizes the run fits and rows the most paths one of
-        its regressions has.  A column's squared norm, a sum of rows squares,
-        must stay a finite positive float for the spot's start value and root
-        mean square at maturity, each raised to the bases' highest monomial
-        degree, and for the strike's start and discounted value.  The spot's
-        log scale is widened by the largest of rows standard normal draws,
-        about sqrt(2 log rows), times its log volatility, since the largest
-        path's power, not the mean, fills the column norm first."""
-        degree = max(sum(t.exponents) for m in sizes for t in basis_family(self.case, m).terms)
-        discount, growth = -self.rate * self.maturity, (self.rate - self.dividend) * self.maturity
-        # the mean 2p-th power of a lognormal price is S^2p exp(2p growth + p(2p-1) vol^2 T)
-        spread = growth + (degree - 0.5) * self.vol * self.vol * self.maturity
-        tail = math.sqrt(2 * math.log(rows)) * self.vol * math.sqrt(self.maturity)
-        pairs = [self.spot_and_strike(key) for key in self.keys]
-        scales = [("spot", s, spread, tail, degree) for s, _ in pairs]
-        scales += [("strike", k, discount, 0.0, 1) for _, k in pairs]
-        for name, scale, rate, margin, power in scales:
-            log_scale = max(abs(math.log(scale)), abs(math.log(scale) + rate)) + margin
-            if not power * log_scale + math.log(rows) / 2 < _LOG_SQRT_MAX:
-                raise ConfigError(
-                    f"{name} {scale} scaled by exp({rate:.6g}) over maturity {self.maturity}"
-                    f" and by exp({margin:.6g}) on its largest path, raised to the power"
-                    f" {power} and summed in squares over {rows} paths,"
-                    " must stay a finite positive float"
-                )
-
-    def schedule(self):
-        return uniform_schedule(self.n_dates, self.maturity)
-
-    def spot_and_strike(self, key: float) -> tuple[float, float]:
-        """The common spot and the strike that a grid key stands for."""
-        return (key, self.strike) if self.case == BESTOF_CALL else (self.spot, key)
-
-    def model_for_key(self, key: float) -> GbmModel:
-        j = N_ASSETS[self.case]
-        spot = self.spot_and_strike(key)[0]
-        corr = np.full((j, j), self.correlation)
-        np.fill_diagonal(corr, 1.0)
-        return GbmModel(
-            spot=np.full(j, float(spot)),
-            rate=self.rate,
-            dividend=np.full(j, self.dividend),
-            vol=np.full(j, self.vol),
-            correlation=corr,
-        )
-
-    def payoff_for_key(self, key: float) -> PayoffSpec:
-        return PayoffSpec(kind=self.case, strike=float(self.spot_and_strike(key)[1]))
-
-
-def default_config(case: str, experiment: int = 1, scale: str = "desk") -> ExperimentConfig:
-    """Shipped configuration for a case: contract and model parameters are the
-    benchmark values of the three studies; scale picks CI-friendly ("desk") or
-    full ("paper") simulation sizes."""
-    if case not in _CASE_DEFAULTS:
-        raise ConfigError(f"unknown case {case!r}; expected one of {PAYOFF_KINDS}")
-    if scale not in _SCALE_EXP1:
-        raise ConfigError(f"unknown scale {scale!r}; expected desk or paper")
-    kwargs = dict(_CASE_DEFAULTS[case])
-    kwargs.update(_SCALE_EXP1[scale])
-    kwargs.update(_SCALE_EXP2[scale])
-    if experiment == 2:
-        kwargs["keys"] = (100.0,)
-        kwargs["estimators"] = (MODE_LSM, MODE_LOOLSM)
-        kwargs["control_variate"] = True
-    return ExperimentConfig(case=case, **kwargs)
-
-
-def _parse_bool(value: str) -> bool:
-    if value.lower() not in ("true", "false"):
-        raise ValueError("expected true or false")
-    return value.lower() == "true"
-
-
-def _value_parser(hint):
-    """Parser of one config value for a field annotated `hint`: bool, int,
-    float or str, an optional one, or a comma-separated tuple of them."""
-    if get_origin(hint) is tuple:
-        item = _value_parser(get_args(hint)[0])
-        return lambda value: tuple(item(v) for v in value.split(","))
-    if get_origin(hint) is UnionType:
-        (hint,) = (arg for arg in get_args(hint) if arg is not NoneType)
-    return {bool: _parse_bool, str: str.strip}.get(hint, hint)
-
-
-_HINTS = get_type_hints(ExperimentConfig)
-_VALUE_PARSERS = {name: _value_parser(hint) for name, hint in _HINTS.items()}
-_FLOAT_FIELDS = tuple(name for name, hint in _HINTS.items() if hint in (float, tuple[float, ...]))
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines into typed ExperimentConfig overrides.
-
-    Each key is an ExperimentConfig field and is parsed by its annotation.
-    Lists are comma separated; booleans accept true/false; '#' starts a
-    comment.  Unknown keys are rejected.
-    """
-    overrides: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        try:
-            if key not in _VALUE_PARSERS:
-                raise ValueError("unknown key")
-            overrides[key] = _VALUE_PARSERS[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"config line {lineno}: {key} = {value!r}: {exc}") from None
-    return overrides
-
-
-def load_config_file(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc.reason}") from None
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from None
-    return parse_config_text(text)
 
 
 @dataclass(frozen=True)
@@ -391,7 +108,6 @@ class SlopeFit:
 class ExperimentReport:
     rows: list[ReportRow] = field(default_factory=list)
     slope: SlopeFit | None = None
-    meta: dict = field(default_factory=dict)
 
     def fingerprint(self) -> bytes:
         """CSV bytes with wall-clock timings zeroed; equal for identical runs."""
@@ -560,17 +276,7 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
     set's European pricing error; it changes no expectation and cancels
     exactly in the difference columns.
     """
-    basis = basis_family(config.case, config.basis_m)
-    report = ExperimentReport(
-        meta={
-            "experiment": "1",
-            "case": config.case,
-            "base_seed": str(config.base_seed),
-            "control_variate": str(config.control_variate).lower(),
-            "basis": " ".join(basis.labels),
-        }
-    )
-
+    report = ExperimentReport()
     # every key is looked up first, so an off-grid key fails before any path is generated
     references = {key: _references(config, key) for key in config.keys}
     for key in config.keys:
@@ -631,7 +337,7 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     payoff = config.payoff_for_key(key)
     ref, exact_euro = _references(config, key)
     pool_seed = derive_seed(config.base_seed, config.case, "pool")
-    bases = {m: basis_family(config.case, m) for m in config.m_list}
+    basis = basis_family(config.case, max(config.m_list))
     n_chunks = math.gcd(*config.n_mc_list)
     chunk_rows = config.pool_size // n_chunks
     cells_of = [(m, n_mc) for m in config.m_list for n_mc in config.n_mc_list]
@@ -645,7 +351,7 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
             [BackwardStack(z, n, m) for m in config.m_list]
             for n in (config.pool_size // n_mc for n_mc in config.n_mc_list)
         ]
-        step_back(chunk, z, bases[max(config.m_list)], groups)
+        step_back(chunk, z, basis, groups)
 
         cells = {}
         for group in groups:
@@ -657,20 +363,7 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
         return cells
 
     per_chunk = _map_sets(run_chunk, n_chunks, config.threads)
-    report = ExperimentReport(
-        meta={
-            "experiment": "2",
-            "case": config.case,
-            "key": _fmt(key),
-            "base_seed": str(config.base_seed),
-            "pool_seed": str(pool_seed),
-            "pool_size": str(config.pool_size),
-            "pool_shared_across_m": "true",
-            "control_variate": str(config.control_variate).lower(),
-        }
-    )
-    if config.case == BASKET_CALL:
-        report.meta.update((f"basis_m{m}", " ".join(b.labels)) for m, b in bases.items())
+    report = ExperimentReport()
     points: list[tuple[float, float, float]] = []
     for m, n_mc in cells_of:
         n_per_set = config.pool_size // n_mc

@@ -7,30 +7,31 @@ import hashlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lsmc
 from lsmc import harness
 from lsmc.cli import main
+from lsmc.config import ExperimentConfig, default_config, load_config_file, parse_config_text
 from lsmc.contracts import N_ASSETS
 from lsmc.errors import ConfigError
 from lsmc.market import generate_paths
 from lsmc.harness import (
     CSV_COLUMNS,
-    ExperimentConfig,
     ExperimentReport,
     ReportRow,
-    default_config,
     derive_seed,
     emit_csv,
     fit_bias_slope,
-    load_config_file,
-    parse_config_text,
     run_experiment1,
     run_experiment2,
 )
@@ -135,6 +136,13 @@ class TestConfigParsing:
     def test_non_finite_floats_name_their_field(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
             tiny_exp1(**{name: (100.0, value) if name == "keys" else value})
+
+    def test_config_import_leaves_the_harness_unloaded(self):
+        probe = "import sys, lsmc.config; print('lsmc.harness' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(lsmc.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestCsv:
@@ -307,11 +315,6 @@ class TestExperiment2:
     def test_requires_single_key(self):
         with pytest.raises(ConfigError, match="one strike"):
             run_experiment2(tiny_exp2(keys=(90.0, 100.0)))
-
-    def test_pool_metadata_recorded(self):
-        report = run_experiment2(tiny_exp2())
-        assert report.meta["pool_shared_across_m"] == "true"
-        assert report.meta["pool_size"] == "6000"
 
     # sha256 of run_experiment2(tiny_exp2(n_mc_list=...)).fingerprint() as the
     # whole-pool pricing computed it, before the pool was priced chunk by chunk
@@ -504,6 +507,8 @@ class TestCli:
             ),
             ("experiment1 --case bestof_call", "vol = 0\ncontrol_variate = true"),
             ("experiment1 --case bestof_call", "correlation = 1\ncontrol_variate = true"),
+            ("experiment1 --case put_single --out=", "keys = 100\nn_paths = 400\nn_mc = 2"),
+            ("experiment1 --case put_single", "keys = 100\nn_paths = 400\nn_mc = 2\nout ="),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
@@ -515,7 +520,7 @@ class TestCli:
              "price_column_norm_overflow", "price_largest_path_overflow",
              "put_unread_negative_strike", "bestof_unread_zero_spot", "repeated_key",
              "repeated_estimator", "experiment2_estimators", "bestof_cv_zero_vol",
-             "bestof_cv_unit_correlation"],
+             "bestof_cv_unit_correlation", "empty_out_flag", "empty_out_line"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):
