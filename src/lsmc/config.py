@@ -207,6 +207,15 @@ class ExperimentConfig:
                     " must stay a finite positive float"
                 )
 
+    def has_shipped_model(self) -> bool:
+        """True when the model is the case's shipped one, the model that
+        lsmc.oracles' reference table prices: the model parameters, the
+        dates and the scale field the case does not key on (spot for the put
+        and the basket, strike for the best-of) equal _CASE_DEFAULTS'."""
+        fields = ("vol", "rate", "dividend", "correlation", "n_dates", "maturity",
+                  "strike" if self.case == BESTOF_CALL else "spot")
+        return all(getattr(self, f) == _CASE_DEFAULTS[self.case][f] for f in fields)
+
     def schedule(self):
         return uniform_schedule(self.n_dates, self.maturity)
 

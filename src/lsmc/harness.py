@@ -160,26 +160,44 @@ def _map_sets(worker, n_sets: int, threads: int) -> list:
     return [worker(k) for k in range(n_sets)]
 
 
-def _references(config: ExperimentConfig, key: float):
-    """Reference prices of a grid key and, when the config applies the control
-    variate, the key's exact European price, else None.  A key off the table,
-    or a model with no closed-form European price, is a ConfigError."""
+def _references(config: ExperimentConfig, key: float) -> tuple[float, float, float | None]:
+    """The Bermudan and European reference prices of a grid key and, when the
+    config applies the control variate, the exact European price it shifts
+    by, else None.
+
+    The reference table prices each case's shipped model only.  Another
+    model has no Bermudan reference (NaN) and a European one only where a
+    closed form exists: Black-Scholes for the put, the max-of-two formula for
+    the best-of, none (NaN) for the basket.  A key off the table of a shipped
+    model, or a control variate with no exact European price, is a
+    ConfigError.
+    """
     spot, strike = config.spot_and_strike(key)
+    bermudan = european = math.nan
+    if config.has_shipped_model():
+        try:
+            ref = reference_price(config.case, key)
+        except KeyError as exc:
+            raise ConfigError(exc.args[0]) from None
+        bermudan, european = ref.bermudan, ref.european
+    # the basket's European price is exact only in the table
+    exact, missing = european, f"{config.case} has one only for its shipped model"
     try:
-        ref = reference_price(config.case, key)
-        if not config.control_variate:
-            return ref, None
         if config.case == PUT_SINGLE:
-            return ref, bs_european_put(
+            exact = bs_european_put(
                 spot, config.vol, config.rate, config.dividend, strike, config.maturity
             )
-        if config.case == BESTOF_CALL:
-            return ref, bestof2_european_call(config.model_for_key(key), strike, config.maturity)
-    except KeyError as exc:
-        raise ConfigError(exc.args[0]) from None
+        elif config.case == BESTOF_CALL:
+            exact = bestof2_european_call(config.model_for_key(key), strike, config.maturity)
     except ValueError as exc:
-        raise ConfigError(f"no exact European price for the control variate: {exc}") from None
-    return ref, ref.european
+        exact, missing = math.nan, str(exc)
+    if math.isnan(european):
+        european = exact
+    if not config.control_variate:
+        return bermudan, european, None
+    if math.isnan(exact):
+        raise ConfigError(f"no exact European price for the control variate: {missing}")
+    return bermudan, european, exact
 
 
 class _Cell(NamedTuple):
@@ -280,7 +298,7 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
     # every key is looked up first, so an off-grid key fails before any path is generated
     references = {key: _references(config, key) for key in config.keys}
     for key in config.keys:
-        ref, exact_euro = references[key]
+        bermudan, european, exact_euro = references[key]
 
         def run_set(k: int, _key=key, _exact_euro=exact_euro) -> dict:
             t0 = time.perf_counter()
@@ -299,11 +317,11 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
             report.rows.append(
                 _report_row(
                     config, key, estimator, config.basis_m, config.n_paths, cells,
-                    ref.bermudan, bias,
+                    bermudan, bias,
                 )
             )
         report.rows.append(
-            _report_row(config, key, MODE_EUROPEAN, 0, config.n_paths, cells, ref.european)
+            _report_row(config, key, MODE_EUROPEAN, 0, config.n_paths, cells, european)
         )
     return report
 
@@ -335,7 +353,7 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
     schedule = config.schedule()
     model = config.model_for_key(key)
     payoff = config.payoff_for_key(key)
-    ref, exact_euro = _references(config, key)
+    bermudan, _, exact_euro = _references(config, key)
     pool_seed = derive_seed(config.base_seed, config.case, "pool")
     basis = basis_family(config.case, max(config.m_list))
     n_chunks = math.gcd(*config.n_mc_list)
@@ -372,7 +390,7 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
         bias = bias_mean, bias_se = float(biases.mean()), _spread(biases)[1]
         for estimator in (MODE_LSM, MODE_LOOLSM):
             report.rows.append(
-                _report_row(config, key, estimator, m, n_per_set, cells, ref.bermudan, bias)
+                _report_row(config, key, estimator, m, n_per_set, cells, bermudan, bias)
             )
         if n_mc >= 2 and math.isfinite(bias_se) and bias_se > 0.0:
             points.append((m / n_per_set, bias_mean, 1.0 / bias_se**2))

@@ -1,22 +1,25 @@
 """Linear least squares with leverage scores and closed-form leave-one-out predictions.
 
-The solver is SVD-based and column-equilibrated: each column of the design
-matrix is scaled to unit Euclidean norm before factorization, which leaves the
-column space (and hence fitted values, residuals and leverage) unchanged while
-making the numerical-rank decision meaningful for raw polynomial regressors
-whose columns span many orders of magnitude.  The norms are summed over the
+The solver is column-equilibrated: each column of the design matrix is scaled
+to unit Euclidean norm before factorization, which leaves the column space
+(and hence fitted values, residuals and leverage) unchanged while making the
+numerical-rank decision meaningful for raw polynomial regressors whose
+columns span many orders of magnitude.  The norms are summed over the
 contiguous columns of the copy that is factorized.  Leverage is computed
-row-wise from the orthonormal factor, never by forming the N x N projector.
+row-wise from an orthonormal factor, never by forming the N x N projector.
 
-The thin SVD is Householder QR, then the SVD of the small triangular factor
-R.  The QR is LAPACK's dgeqrt, which returns the reflectors together with
-their compact WY factor T (Schreiber & Van Loan, 1989), and the orthonormal
-factor is formed from them by matrix products.  dgeqrt runs without the
-interpreter lock, so pool threads factor their sets in parallel.  The QR
-(factor_stack) and the rest (fit_leading) are separate steps, so one QR of a
-wide design serves fits on any of its leading columns.  The pair is the only
-fit API, called alike by the engine and the tests (the reference backward
-loop among them), on an (S, N, M) design stack with an (S, N, k) response.
+The factorization is Householder QR: LAPACK's dgeqrt, which returns the
+reflectors together with their compact WY factor T (Schreiber & Van Loan,
+1989), from which the orthonormal factor Q is formed once by matrix products.
+dgeqrt runs without the interpreter lock, so pool threads factor their sets
+in parallel.  The first m columns of Q span the first m columns of the
+matrix (Golub & Van Loan, Matrix Computations, 5.2), so one QR of a wide
+design (factor_stack) serves fits on any of its leading columns
+(fit_leading).  The rank is read from the singular values of the leading
+block of R; a set of full rank is fitted through Q and R, a rank-deficient
+one through the SVD of that block.  The pair is the only fit API, called
+alike by the engine and the tests (the reference backward loop among them),
+on an (S, N, M) design stack with an (S, N, k) response.
 """
 
 from __future__ import annotations
@@ -74,17 +77,16 @@ def _k_major(n_sets: int, n: int, k: int) -> np.ndarray:
 class StackFactorization(NamedTuple):
     """Householder QR of each column-equilibrated matrix of an (S, N, M) stack:
     the column norms (S, M), a zero column's read as 1; R (S, K, M) with
-    K = min(N, M); the reflectors V (S, N, K) with a unit diagonal; and the
-    compact WY factor T (S, K, K), upper triangular, Q = I - V T V^T.  The
-    first i reflectors and T[:i, :i] depend only on the first i columns, so
-    the leading k = min(N, m) reflectors, R[:k, :m] and T[:k, :k] factor the
-    leading m columns, to rounding of factoring those columns alone.
+    K = min(N, M); and the orthonormal factor Q (S, N, K), each column stored
+    contiguously, with Q R the equilibrated stack.  The first i columns of Q
+    and R[:i, :i] depend only on the first i columns of the matrix, so the
+    leading k = min(N, m) columns of Q and R[:k, :m] factor the leading m
+    columns, to rounding of factoring those columns alone.
     """
 
     norms: np.ndarray
     r: np.ndarray
-    v: np.ndarray
-    t: np.ndarray
+    q: np.ndarray
 
 
 def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -116,21 +118,6 @@ def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r, v, np.triu(t.transpose(0, 2, 1))
 
 
-def _leading_svd(r, v, t, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD of the leading m columns of what _householder factored: the
-    SVD of R[:k, :m], then U = Q [U_R; 0] from the first k reflectors.
-
-    s and U diag(s) V^T agree with np.linalg.svd's to rounding; the QR is
-    not the one gesdd runs, so the singular vectors agree only as closely as
-    the gaps between their singular values allow."""
-    k = min(v.shape[1], m)
-    ur, s, vt = np.linalg.svd(r[:, :k, :m], full_matrices=False)
-    v = v[..., :k]
-    u = v @ -(t[:, :k, :k] @ (v[:, :k, :].transpose(0, 2, 1) @ ur))
-    u[:, :k, :] += ur
-    return u, s, vt
-
-
 def factor_stack(X: np.ndarray) -> StackFactorization:
     """Check an (S, N, M) design stack, equilibrate its columns and factor it.
 
@@ -154,25 +141,32 @@ def factor_stack(X: np.ndarray) -> StackFactorization:
         raise ValueError(f"non-finite design entry at row {i}, column {j}" + in_set)
     norms = np.where(norms > 0.0, norms, 1.0)
     columns /= norms[..., None]
-    return StackFactorization(norms, *_householder(columns.transpose(0, 2, 1)))
+    r, v, t = _householder(columns.transpose(0, 2, 1))
+    # Q = [I; 0] - V (T V_top^T), formed as its transpose so each column is contiguous
+    k = v.shape[-1]
+    qt = -(v[:, :k, :] @ t.transpose(0, 2, 1)) @ v.transpose(0, 2, 1)
+    qt[:, :, :k] += np.eye(k)
+    return StackFactorization(norms, r, qt.transpose(0, 2, 1))
 
 
 def fit_leading(factor: StackFactorization, y: np.ndarray, m: int) -> RegressionFit:
     """Fits of y (S, N, k) on the leading m columns of the factored stack.
 
-    Singular values of the column-equilibrated matrix below
-    max(N, m) * eps * sigma_max are treated as zero; directions below the
-    threshold are dropped, so rank-deficient systems (e.g. a payoff column
-    that is an exact linear combination of price columns) are handled
-    deterministically.  When a fit is rank deficient, beta is the residual
-    minimizer with the smallest norm in the column-equilibrated basis.  Sets
-    are projected in groups of equal rank, so a rank-deficient set does not
-    change the others, and each response column's fit is bit-identical to
-    fitting that column alone.
+    Singular values of the column-equilibrated matrix, read from R[:k, :m],
+    below max(N, m) * eps * sigma_max are treated as zero.  A set of full
+    rank m is fitted through the first m columns of Q: fitted values
+    Q_m Q_m^T y, beta from R[:m, :m] beta = Q_m^T y and leverage the row sums
+    of Q_m squared.  A rank-deficient set (e.g. a payoff column that is an
+    exact linear combination of price columns) drops the directions below the
+    threshold: it is fitted through U = Q_k U_R from the SVD U_R S V^T of
+    R[:k, :m], and beta is the residual minimizer with the smallest norm in
+    the column-equilibrated basis.  Sets are projected in groups of equal
+    rank, so a rank-deficient set does not change the others, and each
+    response column's fit is bit-identical to fitting that column alone.
 
     Raises ValueError on a non-finite response, naming the offending entry.
     """
-    n_sets, n, _ = factor.v.shape
+    n_sets, n, _ = factor.q.shape
     if not 1 <= m <= factor.norms.shape[1]:
         raise ValueError(f"cannot fit {m} leading columns of {factor.norms.shape[1]}")
     y = np.asarray(y, dtype=float)
@@ -182,28 +176,36 @@ def fit_leading(factor: StackFactorization, y: np.ndarray, m: int) -> Regression
         t, i = _first_nonfinite(y)[:2]
         in_set = "" if n_sets == 1 else f" of set {t}"
         raise ValueError(f"non-finite response at row {i}" + in_set)
-    u, s, vt = _leading_svd(factor.r, factor.v, factor.t, m)
+    k = min(n, m)
+    lead = factor.r[:, :k, :m]
+    s = np.linalg.svd(lead, compute_uv=False)
     norms = factor.norms[:, :m]
     tol = max(n, m) * np.finfo(float).eps * s[:, 0]
     rank = np.count_nonzero(s > tol[:, None], axis=-1)
 
-    # One matrix-vector product per set and contiguous column: a gemm over
-    # the columns would reorder the sums and move the last bits of every fit.
-    cols = np.ascontiguousarray(np.moveaxis(y, -1, 1))
-    k = cols.shape[1]
-    beta = np.empty((n_sets, m, k))
-    fitted = _k_major(n_sets, n, k)
+    # The broadcast products run one matrix-vector product and the solve one
+    # right-hand side per set and contiguous column: a gemm over the columns
+    # would reorder the sums and move the last bits of every fit.
+    cols = np.ascontiguousarray(np.moveaxis(y, -1, 1))[..., None]
+    qt = factor.q.transpose(0, 2, 1)
+    beta = np.empty((n_sets, m, cols.shape[1]))
+    fitted = _k_major(n_sets, n, cols.shape[1])
     leverage = np.empty((n_sets, n))
     for r in np.unique(rank):
         # a boolean index copies the group, which keeps each matrix's strides
         sel = slice(None) if (rank == r).all() else rank == r
-        ur = u[sel][..., :r]
-        vr = vt[sel][:, :r, :].transpose(0, 2, 1)
-        for j in range(k):
-            uy = (ur.transpose(0, 2, 1) @ cols[sel, j, :, None])[..., 0]
-            beta[sel, :, j] = (vr @ (uy / s[sel, :r])[..., None])[..., 0] / norms[sel]
-            fitted[sel, :, j] = (ur @ uy[..., None])[..., 0]
-        leverage[sel] = np.minimum(np.einsum("sij,sij->si", ur, ur), 1.0)
+        if r == m:
+            basis = qt[sel, :m]  # Q_m^T (s, m, N)
+            c = basis[:, None] @ cols[sel]
+            coef = np.linalg.solve(factor.r[sel, None, :m, :m], c)
+        else:
+            ur, sv, vt = np.linalg.svd(lead[sel], full_matrices=False)
+            basis = ur[..., :r].transpose(0, 2, 1) @ qt[sel, :k]  # U_r^T (s, r, N)
+            c = basis[:, None] @ cols[sel]
+            coef = vt[:, None, :r].transpose(0, 1, 3, 2) @ (c / sv[:, None, :r, None])
+        beta[sel] = coef[..., 0].transpose(0, 2, 1) / norms[sel][..., None]
+        fitted.transpose(0, 2, 1)[sel] = (basis.transpose(0, 2, 1)[:, None] @ c)[..., 0]
+        leverage[sel] = np.minimum(np.einsum("srn,srn->sn", basis, basis), 1.0)
     return RegressionFit(beta, fitted, y - fitted, leverage, rank)
 
 

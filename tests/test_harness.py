@@ -25,6 +25,7 @@ from lsmc.config import ExperimentConfig, default_config, load_config_file, pars
 from lsmc.contracts import N_ASSETS
 from lsmc.errors import ConfigError
 from lsmc.market import generate_paths
+from lsmc.oracles import bs_european_put
 from lsmc.harness import (
     CSV_COLUMNS,
     ExperimentReport,
@@ -216,6 +217,45 @@ class TestExperiment1:
         with pytest.raises(ConfigError, match="known keys"):
             run_experiment1(tiny_exp1(keys=(85.0,)))
 
+    def test_other_models_are_not_compared_with_the_table(self):
+        # the table prices the shipped vol-0.4 basket; at vol 0.2 it has no
+        # reference of either kind, so every offset is empty, and a control
+        # variate has no exact European price to shift by
+        config = dataclasses.replace(
+            default_config("basket_call", 1, "desk"), vol=0.2, keys=(100.0,), n_paths=2000, n_mc=4
+        )
+        report = run_experiment1(config)
+        assert [r.estimator for r in report.rows] == ["LSM", "LSM2", "LOOLSM", "EUROPEAN"]
+        for row in report.rows:
+            assert math.isnan(row.mean_offset) and math.isnan(row.std) and math.isnan(row.se_mean)
+        assert all(math.isfinite(r.mean_bias) for r in report.rows[1:3])
+        with pytest.raises(ConfigError, match="no exact European price"):
+            run_experiment1(dataclasses.replace(config, control_variate=True))
+
+    def test_other_put_model_has_a_closed_form_european_reference(self):
+        # off the shipped model any key runs: the European row is offset from
+        # Black-Scholes, which the control variate also shifts by
+        config = tiny_exp1(vol=0.3, keys=(95.0,), n_mc=6, control_variate=True)
+        rows = {r.estimator: r for r in run_experiment1(config).rows}
+        assert all(math.isnan(rows[e].mean_offset) for e in ("LSM", "LSM2", "LOOLSM"))
+        euro = rows["EUROPEAN"]
+        exact = bs_european_put(100.0, 0.3, 0.05, 0.02, 95.0, 1.0)
+        bermudan, european, shift = harness._references(config, 95.0)
+        assert math.isnan(bermudan) and european == shift == exact
+        assert abs(euro.mean_offset) < 4 * euro.se_mean
+
+    def test_only_the_shipped_model_reads_the_table(self):
+        for case in ("put_single", "bestof_call", "basket_call"):
+            for experiment, scale in ((1, "desk"), (2, "paper")):
+                assert default_config(case, experiment, scale).has_shipped_model()
+            config = default_config(case)
+            assert dataclasses.replace(config, keys=(1.0,), n_paths=10**6).has_shipped_model()
+            scale_field = "strike" if case == "bestof_call" else "spot"
+            for name in ("vol", "rate", "dividend", "correlation", "maturity", scale_field):
+                changed = dataclasses.replace(config, **{name: getattr(config, name) + 0.125})
+                assert not changed.has_shipped_model(), (case, name)
+            assert not dataclasses.replace(config, n_dates=config.n_dates + 1).has_shipped_model()
+
     def test_byte_level_reproducibility_and_thread_invariance(self):
         a = run_experiment1(tiny_exp1())
         b = run_experiment1(tiny_exp1())
@@ -301,6 +341,17 @@ class TestExperiment2:
         for a, b in zip(raw.rows, adj.rows):
             assert b.mean_bias == pytest.approx(a.mean_bias, abs=1e-12)
             assert b.flips_total == a.flips_total
+
+    def test_other_models_have_no_bermudan_reference(self):
+        # the table prices the vol-0.2 put; at vol 0.3 no offset has a
+        # reference, and the bias columns need none
+        config = tiny_exp2(vol=0.3, pool_size=14400, n_mc_list=(10, 40), m_list=(4, 8))
+        report = run_experiment2(config)
+        for row in report.rows:
+            assert math.isnan(row.mean_offset) and math.isnan(row.std) and math.isnan(row.se_mean)
+            assert math.isfinite(row.mean_bias) and math.isfinite(row.bias_se)
+        shipped = run_experiment2(dataclasses.replace(config, vol=0.2))
+        assert all(math.isfinite(r.mean_offset) for r in shipped.rows)
 
     def test_wall_ms_is_the_busy_time_of_the_run(self):
         # each row reports a share of its stacks' steps; together they cannot
@@ -509,6 +560,11 @@ class TestCli:
             ("experiment1 --case bestof_call", "correlation = 1\ncontrol_variate = true"),
             ("experiment1 --case put_single --out=", "keys = 100\nn_paths = 400\nn_mc = 2"),
             ("experiment1 --case put_single", "keys = 100\nn_paths = 400\nn_mc = 2\nout ="),
+            (
+                "experiment1 --case basket_call",
+                "vol = 0.2\nkeys = 100\nn_paths = 2000\nn_mc = 4\ncontrol_variate = true",
+            ),
+            ("experiment2 --case basket_call", "vol = 0.2\npool_size = 14400"),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
@@ -520,7 +576,8 @@ class TestCli:
              "price_column_norm_overflow", "price_largest_path_overflow",
              "put_unread_negative_strike", "bestof_unread_zero_spot", "repeated_key",
              "repeated_estimator", "experiment2_estimators", "bestof_cv_zero_vol",
-             "bestof_cv_unit_correlation", "empty_out_flag", "empty_out_line"],
+             "bestof_cv_unit_correlation", "empty_out_flag", "empty_out_line",
+             "basket_cv_other_model", "basket_experiment2_other_model"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):

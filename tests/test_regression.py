@@ -22,7 +22,6 @@ from lsmc.market import generate_paths
 from lsmc.regression import (
     _householder,
     _k_major,
-    _leading_svd,
     factor_stack,
     fit_leading,
     loo_fallback_mask,
@@ -188,10 +187,12 @@ def contract_designs(case, n, date=1):
     return design_matrix(basis_family(case, m), paths.values[:, date, :], z[:, date])
 
 
-def thin_svd(a):
-    """_householder, then _leading_svd at full width: the thin SVD of a
-    Fortran-ordered (S, N, M) stack, which is overwritten."""
-    return _leading_svd(*_householder(a), a.shape[-1])
+def thin_svd(x):
+    """The thin SVD of the column-equilibrated (S, N, M) stack x from
+    factor_stack's fields: the SVD U_R S V^T of R, then U = Q[..., :k] @ U_R."""
+    factor = factor_stack(x)
+    ur, s, vt = np.linalg.svd(factor.r, full_matrices=False)
+    return factor.q[..., :ur.shape[-1]] @ ur, s, vt
 
 
 class TestThinSvd:
@@ -220,7 +221,7 @@ class TestThinSvd:
                                         ("put_single", "bestof_call", "basket_call")]:
             a = equilibrated(x)
             u0, s0, _ = np.linalg.svd(a, full_matrices=False)
-            u, s, vt = thin_svd(equilibrated(x))
+            u, s, vt = thin_svd(x)
             assert a.shape[1] >= 11 * a.shape[2] // 6
             assert np.abs(s - s0).max() < 1e-14
             assert np.abs((u * s[:, None, :]) @ vt - a).max() < 1e-13
@@ -234,7 +235,7 @@ class TestThinSvd:
 
     def test_rank_deficient_sets_keep_their_rank(self):
         x = self.tall_stack()
-        s = thin_svd(equilibrated(x))[1]
+        s = thin_svd(x)[1]
         tol = max(x.shape[1:]) * np.finfo(float).eps * s[:, :1]
         assert list(np.count_nonzero(s > tol, axis=-1)) == [6, 5, 6, 5]
 
@@ -247,7 +248,7 @@ class TestThinSvd:
         x[1, :, 3] = 0.0
         a = equilibrated(x)
         u0, s0, _ = np.linalg.svd(a, full_matrices=False)
-        u, s, vt = thin_svd(equilibrated(x))
+        u, s, vt = thin_svd(x)
         k = min(n, m)
         assert n < 11 * m // 6 and u.shape == (2, n, k) and vt.shape == (2, k, m)
         assert np.abs(s - s0).max() < 1e-14
@@ -276,11 +277,25 @@ class TestThinSvd:
             assert np.abs(q.transpose(0, 2, 1) @ q - np.eye(n)).max() < 1e-14
             assert np.abs(q[..., :k] @ r - a).max() < 1e-13
 
+    def test_q_has_orthonormal_columns_and_factors_the_stack(self):
+        # the fit reads Q directly: Q^T Q = I and Q R is the equilibrated stack
+        rng = np.random.default_rng(31)
+        stacks = [self.tall_stack(), rng.standard_normal((2, 7, 12)),
+                  rng.standard_normal((1, 1, 3)), rng.standard_normal((2, 5, 1))]
+        stacks += [contract_designs(c, 300)[None] for c in
+                   ("put_single", "bestof_call", "basket_call")]
+        for x in stacks:
+            factor = factor_stack(x)
+            q, k = factor.q, min(x.shape[1:])
+            assert q.shape == (*x.shape[:2], k) and q.transpose(0, 2, 1).flags.c_contiguous
+            assert np.abs(q.transpose(0, 2, 1) @ q - np.eye(k)).max() < 1e-14
+            assert np.abs(q @ factor.r - equilibrated(x)).max() < 1e-13
+
     def test_stacked_call_equals_per_matrix_calls(self):
         x = self.tall_stack()
-        stacked = thin_svd(equilibrated(x))
+        stacked = thin_svd(x)
         for t in range(x.shape[0]):
-            alone = thin_svd(equilibrated(x[t:t + 1]))
+            alone = thin_svd(x[t:t + 1])
             for got, want in zip(stacked, alone):
                 assert got[t].tobytes() == want[0].tobytes()
 
@@ -387,6 +402,28 @@ class TestLeadingColumnFits:
                 assert np.abs(fit.leverage[t] - alone.leverage[t]).max() < 1e3 * eps * cond[t]
                 beta_error = np.abs((fit.beta[t] - alone.beta[t]) * scale[t]).max()
                 assert beta_error < 1e2 * eps * cond[t] ** 2
+
+    @pytest.mark.parametrize("case", ["put_single", "bestof_call", "basket_call"])
+    def test_full_rank_sets_agree_with_the_svd_route(self, case):
+        # a full-rank set is fitted through Q_m and R[:m, :m]; the SVD of its
+        # equilibrated leading columns, built here, projects the same way to
+        # rounding scaled by the condition number (beta by its square)
+        x, y = self.mixed_stack(case)
+        factor = factor_stack(x)
+        eps = np.finfo(float).eps
+        for m in default_config(case, 2).m_list:
+            fit = fit_leading(factor, y, m)
+            for t in range(2):
+                assert fit.rank[t] == m
+                a = equilibrated(x[t:t + 1, :, :m])[0]
+                u, s, vt = np.linalg.svd(a, full_matrices=False)
+                uy = u.T @ y[t]
+                cond = s[0] / s[-1]
+                scale = np.linalg.norm(x[t, :, :m], axis=0)[:, None]
+                beta = vt.T @ (uy / s[:, None]) / scale
+                assert np.abs(fit.fitted[t] - u @ uy).max() < 1e3 * eps * cond
+                assert np.abs(fit.leverage[t] - (u * u).sum(axis=1)).max() < 1e3 * eps * cond
+                assert np.abs((fit.beta[t] - beta) * scale).max() < 1e2 * eps * cond**2
 
     def test_rejects_columns_it_has_not_factored(self):
         x, y = self.mixed_stack("put_single")
