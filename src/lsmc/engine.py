@@ -70,13 +70,20 @@ def payout_matrix(paths: PathSet, payoff: PayoffSpec) -> np.ndarray:
     return z.T
 
 
+def spread(values: np.ndarray) -> tuple[float, float]:
+    """Sample standard deviation (ddof=1) and standard error of the mean, NaN below 2 values."""
+    if values.size < 2:
+        return float("nan"), float("nan")
+    std = float(values.std(ddof=1))
+    return std, float(std / np.sqrt(values.size))
+
+
 def std_error(per_path: np.ndarray, antithetic: bool) -> float:
     """Standard error of the mean; antithetic pairs are dependent, so the
     estimate is taken over the N/2 pair averages."""
     if antithetic:
         per_path = per_path.reshape(-1, 2).mean(axis=1)
-    n = per_path.shape[0]
-    return float(per_path.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+    return spread(per_path)[1]
 
 
 def step_set(

@@ -36,6 +36,7 @@ from .engine import (
     BackwardStack,
     ExercisePolicy,
     payout_matrix,
+    spread,
     step_back,
     step_set,
 )
@@ -137,20 +138,8 @@ def csv_text(report: ExperimentReport, zero_wall: bool = False) -> str:
 
 def emit_csv(report: ExperimentReport, path: str) -> None:
     """Write the report rows as UTF-8 CSV, one record per configuration cell."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(csv_text(report))
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path!r}: {exc}") from exc
-
-
-def _spread(values: np.ndarray) -> tuple[float, float]:
-    """Sample standard deviation (with the n/(n-1) correction) and its SE of mean."""
-    n = values.size
-    if n < 2:
-        return float("nan"), float("nan")
-    std = float(values.std(ddof=1))
-    return std, std / math.sqrt(n)
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(csv_text(report))
 
 
 def _map_sets(worker, n_sets: int, threads: int) -> list:
@@ -237,7 +226,7 @@ def _report_row(
     (mean_bias, bias_se) pair, NaN where undefined.
     """
     offsets = np.hstack([c[estimator].price for c in cells]) - reference
-    std, se = _spread(offsets)
+    std, se = spread(offsets)
     mean_bias, bias_se = bias
     return ReportRow(
         case=config.case,
@@ -313,7 +302,7 @@ def run_experiment1(config: ExperimentConfig) -> ExperimentReport:
             bias = (math.nan, math.nan)
             if estimator != MODE_LSM and MODE_LSM in config.estimators:
                 diffs = np.hstack([c[estimator].price - c[MODE_LSM].price for c in cells])
-                bias = (float(diffs.mean()), _spread(diffs)[1])
+                bias = (float(diffs.mean()), spread(diffs)[1])
             report.rows.append(
                 _report_row(
                     config, key, estimator, config.basis_m, config.n_paths, cells,
@@ -387,7 +376,7 @@ def run_experiment2(config: ExperimentConfig) -> ExperimentReport:
         n_per_set = config.pool_size // n_mc
         cells = [chunk_cells[m, n_mc] for chunk_cells in per_chunk]
         biases = np.hstack([c["bias"] for c in cells])
-        bias = bias_mean, bias_se = float(biases.mean()), _spread(biases)[1]
+        bias = bias_mean, bias_se = float(biases.mean()), spread(biases)[1]
         for estimator in (MODE_LSM, MODE_LOOLSM):
             report.rows.append(
                 _report_row(config, key, estimator, m, n_per_set, cells, bermudan, bias)

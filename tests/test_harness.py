@@ -376,13 +376,23 @@ class TestExperiment2:
             "db502ec35c7409a6e221bbbf6dfaeed83c572681b454bdac90d0d82c7cf5b4ac",
     }
 
+    # sha256 of the basket's desk experiment 2 on a 2,400-pool split into 2 and
+    # 4 sets: its three nested bases fitted from one factorization per group
+    BASKET_DIGEST = "5c7f3ba0702c0563ed3625879798ddf49767f1967349224c8c7761315101b8c7"
+
     def test_reproducible_across_threads(self):
-        # (3, 6) prices 3 chunks of 2000 paths and (2, 3) one chunk of 6000
-        for n_mc_list, digest in self.WHOLE_POOL_DIGESTS.items():
+        # (3, 6) prices 3 chunks of 2000 paths and (2, 3) one chunk of 6000;
+        # the basket prices 2 chunks of 1200
+        runs = [(tiny_exp2(n_mc_list=n), digest) for n, digest in self.WHOLE_POOL_DIGESTS.items()]
+        basket = dataclasses.replace(
+            default_config("basket_call", 2, "desk"), pool_size=2400, n_mc_list=(2, 4)
+        )
+        runs.append((basket, self.BASKET_DIGEST))
+        for config, digest in runs:
             for threads in (1, 2, 3):
-                report = run_experiment2(tiny_exp2(n_mc_list=n_mc_list, threads=threads))
+                report = run_experiment2(dataclasses.replace(config, threads=threads))
                 got = hashlib.sha256(report.fingerprint()).hexdigest()
-                assert got == digest, (n_mc_list, threads)
+                assert got == digest, (config.case, config.n_mc_list, threads)
 
     def test_memory_is_bounded_by_the_chunk(self):
         # 10 chunks of 4,800 paths: nothing close to the whole pool is held
@@ -428,7 +438,9 @@ class TestCli:
 
     # sha256 of the stdout of `lsmc price --case CASE --strike KEY --mode MODE
     # --paths 2000 --seed 5` as computed before the command shared the
-    # experiment-1 set pricing; 85 is off the put's reference grid
+    # experiment-1 set pricing; 85 is off the put's reference grid.  A best-of
+    # key is its common spot, so that case passes --spot KEY; its digest was
+    # computed later, with the shared pricing (price 14.329388, ranks all 11)
     PRICE_DIGESTS = {
         ("put_single", "100", "LSM"):
             "e3deca27f4c1137234be12942ca90fe31b582fb5227e9f913878693edc3f39f1",
@@ -454,15 +466,33 @@ class TestCli:
             "4724d405da22f78fe15c9d97e4ac8968da1cfb6eb1d78c6ccaf0d3c06be21872",
         ("put_single", "85", "EUROPEAN"):
             "d41790cf33ceb0b808a8261ce594bdd6eaa7143eefe8e53e112476472e91572b",
+        ("bestof_call", "100", "LOOLSM"):
+            "6e4e9ed86da27dc52d16db90cae47cb4a50b3f8c93b89c44987383ece0b3777f",
     }
 
     @pytest.mark.parametrize("case, key, mode", list(PRICE_DIGESTS))
     def test_price_command_output_is_pinned(self, capsys, case, key, mode):
-        code = main(["price", "--case", case, "--mode", mode, "--strike", key,
+        key_flag = "--spot" if case == "bestof_call" else "--strike"
+        code = main(["price", "--case", case, "--mode", mode, key_flag, key,
                      "--paths", "2000", "--seed", "5"])
         assert code == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.PRICE_DIGESTS[case, key, mode], out
+
+    def test_price_without_antithetic_pairs(self, capsys):
+        # an odd path count is refused under antithetic sampling (test_bad_config_exits_2)
+        # and priced without it; the standard error is then taken over single paths
+        argv = "price --case put_single --strike 100 --paths 2001 --seed 5 --no-antithetic"
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == (
+            "case        put_single (key 100)\n"
+            "mode        LOOLSM\n"
+            "price       6.463245\n"
+            "std_error   0.174897\n"
+            "ranks       5 5 5 5\n"
+            "flips       2 5 2 4\n"
+            "fallbacks   0\n"
+        )
 
     def test_price_command_runs_the_policy_pass_only_for_lsm2(self, monkeypatch, capsys):
         path_sets = []
@@ -565,6 +595,8 @@ class TestCli:
                 "vol = 0.2\nkeys = 100\nn_paths = 2000\nn_mc = 4\ncontrol_variate = true",
             ),
             ("experiment2 --case basket_call", "vol = 0.2\npool_size = 14400"),
+            ("price --case put_single --strike 100 --paths 2001 --seed 5", None),
+            ("experiment1 --case put_single", "case = basket_call\nkeys = 100"),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
@@ -577,7 +609,8 @@ class TestCli:
              "put_unread_negative_strike", "bestof_unread_zero_spot", "repeated_key",
              "repeated_estimator", "experiment2_estimators", "bestof_cv_zero_vol",
              "bestof_cv_unit_correlation", "empty_out_flag", "empty_out_line",
-             "basket_cv_other_model", "basket_experiment2_other_model"],
+             "basket_cv_other_model", "basket_experiment2_other_model",
+             "odd_antithetic_paths", "case_conflict"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):
@@ -609,6 +642,68 @@ class TestCli:
         assert captured.err.startswith("error: cannot write report to '/dev/full': ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, config, code, rows",
+        [
+            ("price --case put_single --strike 100 --paths 400", None, 0, None),
+            (
+                "experiment1 --case put_single --out {out}",
+                "keys = 100\nn_paths = 400\nn_mc = 2",
+                0,
+                4,
+            ),
+            (
+                "experiment2 --case put_single --out {out}",
+                "pool_size = 2400\nn_mc_list = 2, 4",
+                0,
+                12,
+            ),
+            pytest.param(
+                "experiment1 --case put_single --out /dev/full",
+                "keys = 100\nn_paths = 400\nn_mc = 2",
+                2,
+                None,
+                marks=pytest.mark.skipif(
+                    not os.path.exists("/dev/full"), reason="needs a full device"
+                ),
+            ),
+        ],
+        ids=["price", "experiment1", "experiment2", "experiment1_full_out"],
+    )
+    def test_closed_stdout_ends_no_run(
+        self, tmp_path, capsys, monkeypatch, command, config, code, rows
+    ):
+        # a reader that closed the pipe early: every write to stdout fails
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        out = tmp_path / "report.csv"
+        argv = command.format(out=out).split()
+        if config is not None:
+            (tmp_path / "tiny.cfg").write_text(config + "\n")
+            argv += ["--config", str(tmp_path / "tiny.cfg")]
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            assert main(argv) == code  # the run's own exit code
+            # the rest of stdout, and the flush at exit, go to the null device
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: cannot write report to ") and err.count("\n") == 1
+        if rows is not None:  # the report is still written in full
+            with open(out, encoding="utf-8") as f:
+                records = list(csv.DictReader(f))
+            assert len(records) == rows and all(rec["wall_ms"] for rec in records)
+
     def test_threads_flag_overrides_the_config_file(self, tmp_path, capsys, monkeypatch):
         map_sets, seen = harness._map_sets, []
 
@@ -635,6 +730,12 @@ class TestCli:
             price = next(line.split()[1] for line in out.splitlines() if line.startswith("price"))
             per_spot.append(float(price) / float(spot))
         assert per_spot[1] == pytest.approx(per_spot[0], rel=1e-6)
+        # --basis-m 20 fits a 20-term basis, rank deficient at the first two
+        # dates, so the fit's SVD route and the betas LSM2 follows are reached
+        argv = ["price", "--case", "put_single", "--basis-m", "20", "--paths", "2000"]
+        assert main(argv) == 0
+        assert "ranks       15 15 16 16" in capsys.readouterr().out.splitlines()
+        assert main(argv + ["--mode", "LSM2"]) == 0
 
     def test_config_loader_reads_files(self, tmp_path):
         cfg = tmp_path / "a.cfg"
