@@ -156,6 +156,8 @@ class ExperimentConfig:
             )
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
+        if not 0 <= self.base_seed < 2**64:  # the streams read a seed's low 64 bits
+            raise ConfigError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
         if self.out is not None:
             folder = os.path.dirname(os.path.abspath(self.out))
             if not self.out or not os.path.isdir(folder) or os.path.isdir(self.out):

@@ -63,7 +63,8 @@ def continue_mask(z, c):
 
 def payout_matrix(paths: PathSet, payoff: PayoffSpec) -> np.ndarray:
     """(N, I) discounted payout of every path at every exercise date, the
-    transposed view of a date-major buffer."""
+    transposed view of a date-major buffer; each date's states are read in
+    place, one contiguous block of generate_paths' date-major buffer."""
     z = np.empty((paths.n_dates, paths.n_paths))
     for i, t in enumerate(paths.times):
         z[i] = discounted_payout(payoff, paths.values[:, i, :], float(t), paths.rate)

@@ -4,7 +4,9 @@ Paths are simulated with the exact log-normal step, so no time-discretization
 bias enters the estimators.  Normal draws come from a counter-based generator:
 the draw for (path, date, asset) is a pure 64-bit hash of (seed, counter), so
 any subset of paths can be regenerated in any order, on any number of workers,
-with bit-identical results.
+with bit-identical results.  The paths of a set are stored date-major, one
+contiguous (J, N) block per exercise date, the order in which the backward
+pass reads them.
 """
 
 from __future__ import annotations
@@ -116,6 +118,9 @@ class PathSet:
     """N simulated state trajectories over the exercise schedule.
 
     values[n, i, j] is the price of asset j on path n at exercise date i.
+    generate_paths stores it date-major and asset-major, as the transposed
+    view of an (I, J, N) buffer, so each date's states are one contiguous
+    block; no reader's bits depend on the layout.
     times and rate are carried along so pricing code can discount payoffs.
     """
 
@@ -186,26 +191,30 @@ def generate_paths(
     chol = correlation_factor(model.correlation)
 
     n_base, first = (n_paths // 2, offset // 2) if antithetic else (n_paths, offset)
+    # base path p's draw for (date i, asset j) has counter p * I * J + i * J + j,
+    # stored date-major and asset-major: (I, J, N_base)
     words = n_dates * n_assets
-    counters = np.arange(first * words, (first + n_base) * words, dtype=np.uint64)
-    z = draws = _standard_normals(seed, counters.reshape(n_base, n_dates, n_assets))
+    counters = np.arange(first, first + n_base, dtype=np.uint64) * np.uint64(words)
+    counters = counters + np.arange(words, dtype=np.uint64).reshape(n_dates, n_assets, 1)
+    z = draws = _standard_normals(seed, counters)
     del counters
     if antithetic:
-        z = np.empty((n_paths, n_dates, n_assets))
-        z[0::2] = draws
-        np.negative(draws, out=z[1::2])
+        z = np.empty((n_dates, n_assets, n_paths))
+        z[..., 0::2] = draws
+        np.negative(draws, out=z[..., 1::2])
     del draws
 
     dt = np.diff(np.concatenate([[0.0], schedule.times]))
     drift = (model.rate - model.dividend[None, :] - 0.5 * model.vol[None, :] ** 2) * dt[:, None]
     scale = model.vol[None, :] * np.sqrt(dt)[:, None]
-    # one (N * I, J) @ (J, J) product, then every step in place, so at most
-    # two path-sized arrays are alive at once
-    values = (z.reshape(-1, n_assets) @ chol.T).reshape(z.shape)
+    # one (J, J) @ (J, N) product per date, then every step in place, so at
+    # most two path-sized arrays are alive at once
+    values = chol @ z
     del z
-    values *= scale
-    values += drift
-    np.cumsum(values, axis=1, out=values)
+    values *= scale[..., None]
+    values += drift[..., None]
+    for i in range(1, n_dates):  # np.cumsum over the dates, one (J, N) block at a time
+        values[i] += values[i - 1]
     np.exp(values, out=values)
-    values *= model.spot
-    return PathSet(values=values, times=schedule.times, rate=model.rate)
+    values *= model.spot[:, None]
+    return PathSet(values=values.transpose(2, 0, 1), times=schedule.times, rate=model.rate)

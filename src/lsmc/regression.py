@@ -130,17 +130,21 @@ def factor_stack(X: np.ndarray) -> StackFactorization:
     if n_sets < 1 or n < 1 or m < 1:
         raise ValueError(f"design matrix must be non-empty, got shape {X.shape[1:]}")
 
-    # The copy is Fortran-ordered per matrix, the layout LAPACK factors in
-    # place, and the norms come from its contiguous columns whatever X's
-    # layout.  A non-finite entry makes its norm non-finite: only then search X.
-    columns = np.array(X.transpose(0, 2, 1), order="C")
-    norms = np.sqrt(np.einsum("smn,smn->sm", columns, columns))
+    # Each norm is summed over a contiguous column: X's own where its columns
+    # are contiguous, as the engine's design stacks are, or else a copy's, so
+    # no layout moves a bit.  The equilibrated copy is Fortran-ordered per
+    # matrix, the layout LAPACK factors in place.  A non-finite entry makes
+    # its norm non-finite: only then search X.
+    xt = X.transpose(0, 2, 1)
+    if xt.strides[-1] != xt.itemsize:
+        xt = np.array(xt, order="C")
+    norms = np.sqrt(np.einsum("smn,smn->sm", xt, xt))
     if not np.isfinite(norms).all() and not np.isfinite(X).all():
         t, i, j = _first_nonfinite(X)
         in_set = "" if n_sets == 1 else f" of set {t}"
         raise ValueError(f"non-finite design entry at row {i}, column {j}" + in_set)
     norms = np.where(norms > 0.0, norms, 1.0)
-    columns /= norms[..., None]
+    columns = np.divide(xt, norms[..., None], out=np.empty((n_sets, m, n)))
     r, v, t = _householder(columns.transpose(0, 2, 1))
     # Q = [I; 0] - V (T V_top^T), formed as its transpose so each column is contiguous
     k = v.shape[-1]

@@ -14,6 +14,7 @@ are pinned here, not computed at run time:
 """
 
 import dataclasses
+import os
 import time
 
 import numpy as np
@@ -33,6 +34,9 @@ from reference import checked_reference
 
 PUT_MODEL = GbmModel(spot=[100.0], rate=0.05, dividend=[0.02], vol=[0.20], correlation=[[1.0]])
 PUT_SCHEDULE = uniform_schedule(5, 1.0)
+# the paper-scale runs use every core this process may run on: their results
+# are bit-identical for any thread count
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 class _Criterion:
@@ -109,7 +113,10 @@ def test_criterion_2_oracle_certification():
 def test_criterion_3_put_full_scale():
     with _Criterion(3, "single-stock put at N=40000, M=5, 100 sets", 120.0) as crit:
         config = dataclasses.replace(
-            default_config("put_single", 1, "paper"), keys=(100.0,), control_variate=True
+            default_config("put_single", 1, "paper"),
+            keys=(100.0,),
+            control_variate=True,
+            threads=CORES,
         )
         report = run_experiment1(config)
         loo = _row(report, 100.0, "LOOLSM")
@@ -134,7 +141,10 @@ def test_criterion_3_put_full_scale():
 def test_criterion_4_basket_full_scale():
     with _Criterion(4, "four-asset basket at N=40000, M=16, 100 sets", 600.0) as crit:
         config = dataclasses.replace(
-            default_config("basket_call", 1, "paper"), keys=(100.0,), control_variate=True
+            default_config("basket_call", 1, "paper"),
+            keys=(100.0,),
+            control_variate=True,
+            threads=CORES,
         )
         report = run_experiment1(config)
         lsm = _row(report, 100.0, "LSM")
@@ -158,6 +168,7 @@ def test_criterion_5_bestof_full_scale():
             keys=(100.0,),
             estimators=(MODE_LSM, MODE_LOOLSM),
             control_variate=True,
+            threads=CORES,
         )
         report = run_experiment1(config)
         loo = _row(report, 100.0, "LOOLSM")

@@ -14,6 +14,7 @@ import pytest
 
 from lsmc.contracts import (
     BASKET_CALL,
+    BESTOF_CALL,
     PUT_SINGLE,
     BasisSpec,
     BasisTerm,
@@ -415,6 +416,32 @@ def test_payout_matrix_is_date_major(case):
     for i, t in enumerate(paths.times):
         expected = discounted_payout(payoff, values[:, i, :], float(t), paths.rate)
         assert z[:, i].tobytes() == expected.tobytes()
+
+
+BESTOF_MODEL = GbmModel(
+    spot=[100.0] * 2, rate=0.05, dividend=[0.10] * 2, vol=[0.20] * 2, correlation=np.eye(2)
+)
+
+
+@pytest.mark.parametrize(
+    "model, n_dates, case, m",
+    [
+        (PUT_MODEL, 5, PUT_SINGLE, 5),
+        (BESTOF_MODEL, 9, BESTOF_CALL, 11),
+        (BASKET_MODEL, 10, BASKET_CALL, 16),
+    ],
+    ids=["put", "bestof", "basket"],
+)
+def test_no_reader_depends_on_the_path_layout(model, n_dates, case, m):
+    # generate_paths stores the paths date-major; a path-major copy of the
+    # same values must price to the same bits
+    paths = generate_paths(model, uniform_schedule(n_dates, 1.0), 2000, seed=11)
+    path_major = dataclasses.replace(paths, values=np.ascontiguousarray(paths.values))
+    assert path_major.values.flags.c_contiguous and not paths.values.flags.c_contiguous
+    payoff, basis = PayoffSpec(case, strike=100.0), basis_family(case, m)
+    stack, copied = step_set(paths, payoff, basis), step_set(path_major, payoff, basis)
+    for name in ("european", "value", "flips", "ranks", "betas"):
+        assert (getattr(stack, name) == getattr(copied, name)).all(), name
 
 
 def test_european_zero_vol_is_the_discounted_forward_payoff():

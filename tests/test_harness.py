@@ -60,6 +60,14 @@ class TestDeriveSeed:
     def test_stays_in_64_bits(self):
         assert 0 <= derive_seed(2**63, "basket_call", 11) < 2**64
 
+    def test_base_seed_spans_64_bits_and_no_more(self):
+        # a seed outside [0, 2**64) would run the stream of its low 64 bits
+        for seed in (0, 2**64 - 1):
+            assert tiny_exp1(base_seed=seed).base_seed == seed
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ConfigError, match=r"^base_seed must be in \[0, 2\*\*64\)"):
+                tiny_exp1(base_seed=seed)
+
 
 class TestFitBiasSlope:
     def test_exact_line(self):
@@ -597,6 +605,8 @@ class TestCli:
             ("experiment2 --case basket_call", "vol = 0.2\npool_size = 14400"),
             ("price --case put_single --strike 100 --paths 2001 --seed 5", None),
             ("experiment1 --case put_single", "case = basket_call\nkeys = 100"),
+            ("price --case put_single --strike 100 --paths 2000 --seed -1", None),
+            ("experiment1 --case put_single", "base_seed = 18446744073709551616"),
         ],
         ids=["unparsable", "one_date", "negative_vol", "zero_maturity", "indefinite_corr",
              "paths_below_regressors", "sets_below_regressors", "zero_sets", "basis_size",
@@ -610,7 +620,7 @@ class TestCli:
              "repeated_estimator", "experiment2_estimators", "bestof_cv_zero_vol",
              "bestof_cv_unit_correlation", "empty_out_flag", "empty_out_line",
              "basket_cv_other_model", "basket_experiment2_other_model",
-             "odd_antithetic_paths", "case_conflict"],
+             "odd_antithetic_paths", "case_conflict", "negative_seed", "seed_above_64_bits"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
         def no_paths(*args, **kwargs):
@@ -770,7 +780,7 @@ def experiment2_config_files(draw):
         "threads": draw(st.integers(1, 3)),
     }
     bad = {"n_dates": 1, "vol": -0.1, "correlation": -0.9, "n_mc_list": 0,
-           "m_list": sizes[0] - 1, "threads": 0}
+           "m_list": sizes[0] - 1, "threads": 0, "base_seed": -1}
     field = draw(st.sampled_from([None, *bad]))
     if field is not None:
         lines[field] = bad[field]

@@ -186,6 +186,20 @@ def test_chunks_are_slices_of_the_pool(family, antithetic):
         assert chunk.values.tobytes() == pool.values[offset : offset + 200].tobytes()
 
 
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_paths_are_stored_date_major(family, antithetic):
+    # values is the (N, I, J) view of an (I, J, N) buffer: each date's states,
+    # and each asset's prices on a date, are contiguous, at any chunk offset
+    model, schedule = FAMILIES[family]
+    for offset in (0, 398):
+        values = generate_paths(model, schedule, 200, 77, antithetic, offset=offset).values
+        assert values.shape == (200, schedule.n_dates, model.n_assets)
+        assert values.transpose(1, 2, 0).flags.c_contiguous
+        for i in range(schedule.n_dates):
+            assert values[:, i, :].T.flags.c_contiguous
+
+
 @pytest.mark.parametrize("offset", [-2, 3])
 def test_antithetic_chunk_must_start_on_a_pair(offset):
     with pytest.raises(ValueError, match="offset"):

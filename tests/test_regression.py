@@ -141,11 +141,14 @@ class TestFitLeastSquares:
         fortran[...] = x
         wide = np.zeros((3, 400, 9))
         wide[:, ::2, 1:7] = x
+        # the engine's stack: sets of rows of one term-major design matrix
+        engine = np.empty((6, 600)).T.reshape(3, 200, 6)
+        engine[...] = x
         k_major = np.empty((3, 2, 200)).transpose(0, 2, 1)
         k_major[...] = y
         reference = fit_stack(x, y)
         assert list(reference.rank) == [6, 5, 6]
-        for xs in (x, fortran, wide[:, ::2, 1:7]):
+        for xs in (x, fortran, engine, wide[:, ::2, 1:7]):
             for ys in (y, k_major):
                 fit = fit_stack(xs, ys)
                 for name in ("beta", "fitted", "residuals", "leverage", "rank"):
