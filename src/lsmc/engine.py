@@ -9,11 +9,14 @@ exercise decision, so one backward pass carries both: each date's design
 matrix is factorized once and both value vectors are projected through it.
 Given an exercise policy fitted on other paths, the same pass also values the
 two-pass estimator on that design matrix, and the maturity payout it starts
-from is the European Monte Carlo result.  step_back is the one date loop of
-every pass, for experiment 1 and `lsmc price` as for experiment 2, and fits
-only through factor_stack and fit_leading; tests/reference.py repeats it for
-one set, date by date, and must match its values and flips bit for bit.
-Every caller reads its prices and diagnostics off the stepped BackwardStack.
+from is the European Monte Carlo result.  The policy itself is fitted by a
+pass that carries only the classical value vector and solves for its
+coefficients, with no leverage or leave-one-out step; the pricing pass solves
+for none.  step_back is the one date loop of every pass, for experiment 1
+and `lsmc price` as for experiment 2, and fits only through factor_stack and
+fit_leading; tests/reference.py repeats it for one set, date by date, and
+must match its values and flips bit for bit.  Every caller reads its prices
+and diagnostics off the stepped BackwardStack.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from .contracts import BasisSpec, PayoffSpec, design_matrix, discounted_payout
 from .errors import NumericalError
 from .market import PathSet
-from .regression import StackFactorization, factor_stack, fit_leading
+from .regression import RegressionFit, StackFactorization, factor_stack, fit_leading
 from .regression import loo_fallback_mask, loo_predictions
 
 MODE_LSM = "LSM"
@@ -46,9 +49,12 @@ class ExercisePolicy:
     ranks: tuple[int, ...]
 
     @classmethod
-    def fitted(cls, stack: BackwardStack, basis: BasisSpec) -> ExercisePolicy:
-        """The classical policy that set 0 of a stepped stack fitted on basis."""
-        return cls(tuple(stack.betas[0]), basis, tuple(int(r) for r in stack.ranks[0]))
+    def fitted(cls, paths: PathSet, payoff: PayoffSpec, basis: BasisSpec) -> ExercisePolicy:
+        """The classical policy that a backward pass fits on paths, as one PolicyStack."""
+        z = _checked_payouts(paths, payoff, basis)
+        stack = PolicyStack(z, paths.n_paths, basis.m)
+        step_back(paths, z, basis, [[stack]])
+        return cls(tuple(stack.coefficients[0]), basis, tuple(int(r) for r in stack.ranks[0]))
 
 
 def continue_mask(z, c):
@@ -87,6 +93,19 @@ def std_error(per_path: np.ndarray, antithetic: bool) -> float:
     return spread(per_path)[1]
 
 
+def _checked_payouts(paths: PathSet, payoff: PayoffSpec, basis: BasisSpec) -> np.ndarray:
+    """The payout matrix of paths under payoff, once basis is seen to fit it."""
+    if basis.case != payoff.kind:
+        raise ValueError(f"basis built for {basis.case!r}, payoff is {payoff.kind!r}")
+    if paths.n_paths <= basis.m:
+        warnings.warn(
+            f"{paths.n_paths} paths for {basis.m} regressors; estimates will be unstable",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return payout_matrix(paths, payoff)
+
+
 def step_set(
     paths: PathSet,
     payoff: PayoffSpec,
@@ -98,27 +117,17 @@ def step_set(
     Each date replaces a value with the payout wherever its decision
     prediction falls below it: the fitted value for MODE_LSM, its
     leave-one-out correction for MODE_LOOLSM.  Given a policy fitted on other
-    paths, the stack's held row follows its decisions with no regression:
-    the two-pass estimator MODE_LSM2.  The stack's european row is the
-    European Monte Carlo payout, and ExercisePolicy.fitted reads its
-    classical policy.
+    paths (ExercisePolicy.fitted), the stack's held row follows its decisions
+    with no regression: the two-pass estimator MODE_LSM2.  The stack's
+    european row is the European Monte Carlo payout.
     """
-    if basis.case != payoff.kind:
-        raise ValueError(f"basis built for {basis.case!r}, payoff is {payoff.kind!r}")
     fitted_for = (paths.n_dates - 1, basis.terms)
     if policy is not None and (len(policy.coefficients), policy.basis.terms) != fitted_for:
         raise ValueError(
             f"a policy for {len(policy.coefficients)} date(s) on basis {policy.basis.labels}"
             f" cannot value {fitted_for[0]} date(s) on basis {basis.labels}"
         )
-    if paths.n_paths <= basis.m:
-        warnings.warn(
-            f"{paths.n_paths} paths for {basis.m} regressors; estimates will be unstable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    z = payout_matrix(paths, payoff)
+    z = _checked_payouts(paths, payoff, basis)
     stack = BackwardStack(z, paths.n_paths, basis.m, policy)
     step_back(paths, z, basis, [[stack]])
     return stack
@@ -131,10 +140,10 @@ def step_back(
 
     z is the paths' payout matrix and basis the widest of the stacks' bases.
     Per date: one design matrix at that basis for all the paths, one
-    factorization per group (a list of stacks that cut the paths into the
-    same sets of n), and each stack's step on its leading m columns.  Each
-    stack's busy_s gains its step time and an equal share of its group's
-    factorization time.
+    factorization per group (a list of stacks, BackwardStack or PolicyStack,
+    that cut the paths into the same sets of n), and each stack's step on its
+    leading m columns.  Each stack's busy_s gains its step time and an equal
+    share of its group's factorization time.
     """
     for i in range(paths.n_dates - 2, -1, -1):
         x = design_matrix(basis, paths.values[:, i, :], z[:, i])
@@ -150,6 +159,13 @@ def step_back(
                 stack.busy_s += time.perf_counter() - t0 + share
             del factor  # so the next group is factored without this one alive
         del x  # so the next date's matrix is built without this one alive
+
+
+def _checked_rank(fit: RegressionFit, i: int) -> RegressionFit:
+    """The fit of date i, once no set is seen to have rank zero."""
+    if not fit.rank.all():
+        raise NumericalError(f"rank-zero regression at exercise date index {i}")
+    return fit
 
 
 class BackwardStack:
@@ -171,7 +187,6 @@ class BackwardStack:
         # runs over whole rows of N paths instead of an innermost axis of 2
         self.value = np.empty((n_sets, 2, n)).transpose(0, 2, 1)
         self.value[...] = self.european[..., None]
-        self.betas = np.empty((n_sets, n_dates - 1, m))
         self.ranks = np.zeros((n_sets, n_dates - 1), dtype=int)
         self.flips = np.zeros((n_sets, 2, n_dates - 1), dtype=int)
         self.fallbacks = np.zeros(n_sets, dtype=int)
@@ -181,21 +196,19 @@ class BackwardStack:
     def step(self, i: int, zi: np.ndarray, x: np.ndarray, factor: StackFactorization) -> None:
         """Date i: zi is its (n_sets, n) payout, x its (n_sets, n, m) design stack
         and factor that of a stack, x or wider, whose leading m columns are x."""
-        fit = fit_leading(factor, self.value, x.shape[-1])
-        if not fit.rank.all():
-            raise NumericalError(f"rank-zero regression at exercise date index {i}")
-        c_loo = loo_predictions(fit)
-        self.fallbacks += loo_fallback_mask(fit).sum(axis=-1)
+        fit = _checked_rank(fit_leading(factor, self.value, x.shape[-1]), i)
+        fallback = loo_fallback_mask(fit)
+        self.fallbacks += fallback.sum(axis=-1)
+        c_loo = loo_predictions(fit, fallback)
 
         keep_full = continue_mask(zi[..., None], fit.fitted)
         keep_loo = continue_mask(zi[..., None], c_loo)
         self.flips[..., i] = np.count_nonzero(keep_full != keep_loo, axis=-2)
-        np.copyto(self.value[..., 0], zi, where=~keep_full[..., 0])
-        np.copyto(self.value[..., 1], zi, where=~keep_loo[..., 1])
+        np.putmask(self.value[..., 0], ~keep_full[..., 0], zi)
+        np.putmask(self.value[..., 1], ~keep_loo[..., 1], zi)
         if self.policy is not None:
             c = x @ self.policy.coefficients[i]
-            np.copyto(self.held, zi, where=~continue_mask(zi, c))
-        self.betas[:, i] = fit.beta[..., 0]
+            np.putmask(self.held, ~continue_mask(zi, c), zi)
         self.ranks[:, i] = fit.rank
 
     def means(self, exact_euro: float | None = None) -> np.ndarray:
@@ -213,3 +226,28 @@ class BackwardStack:
         if exact_euro is not None:
             value = value + (exact_euro - self.european[:, None, :])
         return value.mean(axis=-1)
+
+
+class PolicyStack:
+    """The classical pass alone over the consecutive sets of n paths that
+    cover z, for fitting exercise policies: value holds only the classical
+    column, stepped as BackwardStack steps its column 0, with no leverage or
+    leave-one-out step, and each step keeps its date's coefficients
+    (n_sets, I - 1, m) and ranks (n_sets, I - 1).  ExercisePolicy.fitted
+    reads them.
+    """
+
+    def __init__(self, z: np.ndarray, n: int, m: int) -> None:
+        self.european = z[:, -1].reshape(-1, n)
+        n_sets, n_dates = self.european.shape[0], z.shape[1]
+        self.m, self.busy_s = m, 0.0
+        self.value = self.european[..., None].copy()
+        self.coefficients = np.empty((n_sets, n_dates - 1, m))
+        self.ranks = np.zeros((n_sets, n_dates - 1), dtype=int)
+
+    def step(self, i: int, zi: np.ndarray, x: np.ndarray, factor: StackFactorization) -> None:
+        """Date i, as BackwardStack.step takes it."""
+        fit = _checked_rank(fit_leading(factor, self.value, x.shape[-1]), i)
+        np.putmask(self.value[..., 0], ~continue_mask(zi, fit.fitted[..., 0]), zi)
+        self.coefficients[:, i] = fit.beta[..., 0]
+        self.ranks[:, i] = fit.rank

@@ -250,10 +250,10 @@ def price_set(config: ExperimentConfig, key: float, k: int) -> BackwardStack:
     """Simulation set k of a grid key, stepped back for every experiment-1 estimator.
 
     With LSM2 among the estimators, a backward pass on the set's own policy
-    paths fits the exercise policy first.  One backward pass on the
-    valuation paths then carries LSM, LOOLSM, the European payout and, under
-    that policy, LSM2, so every estimator values the same paths.  Returns
-    that pass's one-set stack.
+    paths, carrying only the classical value vector, fits the exercise
+    policy first.  One backward pass on the valuation paths then carries
+    LSM, LOOLSM, the European payout and, under that policy, LSM2, so every
+    estimator values the same paths.  Returns that pass's one-set stack.
     """
     config.check_scales((config.basis_m,), config.n_paths)
     model = config.model_for_key(key)
@@ -267,7 +267,7 @@ def price_set(config: ExperimentConfig, key: float, k: int) -> BackwardStack:
 
     policy = None
     if MODE_LSM2 in config.estimators:
-        policy = ExercisePolicy.fitted(step_set(paths("policy"), payoff, basis), basis)
+        policy = ExercisePolicy.fitted(paths("policy"), payoff, basis)
     return step_set(paths(), payoff, basis, policy)
 
 

@@ -226,7 +226,7 @@ def test_criterion_7_property_suite():
         p1 = generate_paths(PUT_MODEL, single, 2000, seed=11)
         p2 = generate_paths(PUT_MODEL, single, 2000, seed=12)
         b4 = basis_family(PUT_SINGLE, 4)
-        policy = ExercisePolicy.fitted(step_set(p2, payoff, b4), b4)
+        policy = ExercisePolicy.fitted(p2, payoff, b4)
         single_stack = step_set(p1, payoff, b4, policy=policy)
         lsm, loo, two = single_stack.means()[0]
         assert lsm == loo == two == single_stack.european[0].mean()

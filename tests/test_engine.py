@@ -25,6 +25,7 @@ from lsmc.contracts import (
 from lsmc.engine import (
     BackwardStack,
     ExercisePolicy,
+    PolicyStack,
     continue_mask,
     payout_matrix,
     std_error,
@@ -53,11 +54,6 @@ def desk_paths(n=4000, seed=314):
     return generate_paths(PUT_MODEL, PUT_SCHEDULE, n, seed=seed)
 
 
-def fitted_policy(paths, payoff, basis):
-    """The classical exercise policy that a backward pass fits on paths."""
-    return ExercisePolicy.fitted(step_set(paths, payoff, basis), basis)
-
-
 class TestDecideContinue:
     def test_plain_indicator(self):
         assert continue_mask(5.0, 7.0)
@@ -83,7 +79,7 @@ class TestToyCrossSection:
         assert stack.value[0, :, 0] == pytest.approx([14.0, 14.0, 9.0], abs=1e-12)
         assert stack.means()[0, 0] == pytest.approx(37.0 / 3.0, abs=1e-12)
         assert stack.ranks[0].tolist() == [2]
-        assert len(ExercisePolicy.fitted(stack, TOY_BASIS).coefficients) == 1
+        assert len(ExercisePolicy.fitted(toy_paths(), TOY_PAYOFF, TOY_BASIS).coefficients) == 1
 
     def test_leave_one_out_exercises_the_outlier_path(self):
         stack = step_set(toy_paths(), TOY_PAYOFF, TOY_BASIS)
@@ -121,8 +117,8 @@ class TestEstimatorIdentities:
         schedule = uniform_schedule(1, 1.0)
         paths = generate_paths(PUT_MODEL, schedule, 2000, seed=21)
         basis = basis_family(PUT_SINGLE, 4)
-        policy = fitted_policy(generate_paths(PUT_MODEL, schedule, 2000, seed=22),
-                               PUT_PAYOFF, basis)
+        other = generate_paths(PUT_MODEL, schedule, 2000, seed=22)
+        policy = ExercisePolicy.fitted(other, PUT_PAYOFF, basis)
         stack = step_set(paths, PUT_PAYOFF, basis, policy=policy)
         lsm, loo, two = stack.means()[0]
         assert lsm == stack.european[0].mean() == loo == two
@@ -131,7 +127,7 @@ class TestEstimatorIdentities:
     def test_two_pass_on_its_own_paths_degenerates_to_classical(self):
         paths = desk_paths()
         classical = step_set(paths, PUT_PAYOFF, PUT_BASIS)
-        policy = ExercisePolicy.fitted(classical, PUT_BASIS)
+        policy = ExercisePolicy.fitted(paths, PUT_PAYOFF, PUT_BASIS)
         two = step_set(paths, PUT_PAYOFF, PUT_BASIS, policy=policy)
         assert two.means()[0, 2] == pytest.approx(classical.means()[0, 0], abs=1e-12)
         assert policy.ranks == tuple(classical.ranks[0])
@@ -139,7 +135,7 @@ class TestEstimatorIdentities:
     def test_two_pass_rejects_schedule_mismatch(self):
         paths = desk_paths()
         other = generate_paths(PUT_MODEL, uniform_schedule(4, 1.0), 4000, seed=1)
-        policy = fitted_policy(other, PUT_PAYOFF, PUT_BASIS)
+        policy = ExercisePolicy.fitted(other, PUT_PAYOFF, PUT_BASIS)
         with pytest.raises(ValueError, match="policy for 3 date"):
             step_set(paths, PUT_PAYOFF, PUT_BASIS, policy=policy)
 
@@ -150,13 +146,13 @@ class TestEstimatorIdentities:
     )
     def test_two_pass_rejects_basis_mismatch(self, basis):
         paths = desk_paths()
-        policy = fitted_policy(paths, PUT_PAYOFF, basis)
+        policy = ExercisePolicy.fitted(paths, PUT_PAYOFF, basis)
         with pytest.raises(ValueError, match="cannot value 4 date"):
             step_set(paths, PUT_PAYOFF, PUT_BASIS, policy=policy)
 
     def test_price_is_mean_of_per_path_values(self):
         paths = desk_paths()
-        policy = fitted_policy(desk_paths(seed=315), PUT_PAYOFF, PUT_BASIS)
+        policy = ExercisePolicy.fitted(desk_paths(seed=315), PUT_PAYOFF, PUT_BASIS)
         stack = step_set(paths, PUT_PAYOFF, PUT_BASIS, policy=policy)
         per_path = (stack.value[0, :, 0], stack.value[0, :, 1], stack.held[0])
         assert stack.means()[0].tolist() == [v.mean() for v in per_path]
@@ -292,23 +288,34 @@ class TestStackedPass:
             np.testing.assert_array_equal(stack.flips[k], lone.flips[0])
             np.testing.assert_array_equal(stack.ranks[k], lone.ranks[0])
             assert stack.fallbacks[k] == lone.fallbacks[0]
-            np.testing.assert_array_equal(stack.betas[k], lone.betas[0])
             np.testing.assert_array_equal(stack.held[k], lone.held[0])
             np.testing.assert_array_equal(stack.european[k], euro)
 
     @staticmethod
+    def assert_same_policies(policies, stack):
+        """Each set's policy, fitted alone, equals that set's rows of a PolicyStack."""
+        assert len(policies) == stack.coefficients.shape[0]
+        for k, policy in enumerate(policies):
+            np.testing.assert_array_equal(stack.coefficients[k], policy.coefficients)
+            assert tuple(stack.ranks[k]) == policy.ranks
+
+    @staticmethod
     def assert_stack_matches_alone(paths, payoff, basis):
-        """paths(n_paths, offset) generates that many of the pool's paths from offset on."""
+        """paths(n_paths, offset) generates that many of the pool's paths from
+        offset on.  A PolicyStack shares each chunk's factorization."""
         sets = [paths(250, k * 250) for k in range(6)]
-        policy = fitted_policy(sets[0], payoff, basis)  # any policy of the right shape
+        policies = [ExercisePolicy.fitted(lone, payoff, basis) for lone in sets]
+        policy = policies[0]  # any policy of the right shape
         alone = [step_set(lone, payoff, basis, policy=policy) for lone in sets]
         for composition in TestStackedPass.COMPOSITIONS:
             for first, stop in composition:
                 chunk = paths((stop - first) * 250, first * 250)
                 z = payout_matrix(chunk, payoff)
                 stack = BackwardStack(z, 250, basis.m, policy)
-                step_back(chunk, z, basis, [[stack]])
+                policy_stack = PolicyStack(z, 250, basis.m)
+                step_back(chunk, z, basis, [[stack, policy_stack]])
                 TestStackedPass.assert_same_results(alone[first:stop], stack)
+                TestStackedPass.assert_same_policies(policies[first:stop], policy_stack)
         return alone
 
     @STACK_CASES
@@ -328,15 +335,17 @@ class TestStackedPass:
         schedule = uniform_schedule(n_dates, 1.0)
         pool = generate_paths(model, schedule, 1500, seed=707)
         basis = basis_family(payoff.kind, m)
-        policy = fitted_policy(pool, payoff, basis)  # any policy of the right shape
+        policy = ExercisePolicy.fitted(pool, payoff, basis)  # any policy of the right shape
         z = payout_matrix(pool, payoff)
         sizes = (250, 500, 750, 1500)
-        groups = [[BackwardStack(z, n, basis.m, policy)] for n in sizes]
+        groups = [[BackwardStack(z, n, basis.m, policy), PolicyStack(z, n, basis.m)] for n in sizes]
         step_back(pool, z, basis, groups)
-        for n, (stack,) in zip(sizes, groups):
+        for n, (stack, policy_stack) in zip(sizes, groups):
             sets = [generate_paths(model, schedule, n, 707, offset=o) for o in range(0, 1500, n)]
             alone = [step_set(lone, payoff, basis, policy=policy) for lone in sets]
             self.assert_same_results(alone, stack)
+            policies = [ExercisePolicy.fitted(lone, payoff, basis) for lone in sets]
+            self.assert_same_policies(policies, policy_stack)
 
     def test_odd_sets_match_each_set_alone(self):
         # 999-path sets without antithetic pairs: an odd n starts every other
@@ -347,15 +356,16 @@ class TestStackedPass:
             )
 
         pool = paths(7 * 999, 0)
-        policy = fitted_policy(pool, PUT_PAYOFF, PUT_BASIS)  # any policy of the right shape
+        policy = ExercisePolicy.fitted(pool, PUT_PAYOFF, PUT_BASIS)  # any policy of the right shape
         z = payout_matrix(pool, PUT_PAYOFF)
         stack = BackwardStack(z, 999, PUT_BASIS.m, policy)
-        step_back(pool, z, PUT_BASIS, [[stack]])
-        alone = [
-            step_set(paths(999, k * 999), PUT_PAYOFF, PUT_BASIS, policy=policy)
-            for k in range(7)
-        ]
+        policy_stack = PolicyStack(z, 999, PUT_BASIS.m)
+        step_back(pool, z, PUT_BASIS, [[stack, policy_stack]])
+        sets = [paths(999, k * 999) for k in range(7)]
+        alone = [step_set(lone, PUT_PAYOFF, PUT_BASIS, policy=policy) for lone in sets]
         self.assert_same_results(alone, stack)
+        policies = [ExercisePolicy.fitted(lone, PUT_PAYOFF, PUT_BASIS) for lone in sets]
+        self.assert_same_policies(policies, policy_stack)
 
     def test_rank_deficient_set_leaves_its_neighbours_unchanged(self):
         # every path of set 2 (pool rows 500 to 750) is out of the money at
@@ -440,8 +450,12 @@ def test_no_reader_depends_on_the_path_layout(model, n_dates, case, m):
     assert path_major.values.flags.c_contiguous and not paths.values.flags.c_contiguous
     payoff, basis = PayoffSpec(case, strike=100.0), basis_family(case, m)
     stack, copied = step_set(paths, payoff, basis), step_set(path_major, payoff, basis)
-    for name in ("european", "value", "flips", "ranks", "betas"):
+    for name in ("european", "value", "flips", "ranks"):
         assert (getattr(stack, name) == getattr(copied, name)).all(), name
+    policy = ExercisePolicy.fitted(paths, payoff, basis)
+    copied_policy = ExercisePolicy.fitted(path_major, payoff, basis)
+    np.testing.assert_array_equal(policy.coefficients, copied_policy.coefficients)
+    assert policy.ranks == copied_policy.ranks
 
 
 def test_european_zero_vol_is_the_discounted_forward_payoff():

@@ -14,6 +14,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,6 +316,27 @@ class TestExperiment1:
                 got = hashlib.sha256(run_experiment1(run).fingerprint()).hexdigest()
                 assert got == digest, (case, variant, run.threads)
 
+    # sha256 of the coefficients and then the ranks (int64) of the exercise
+    # policy that price_set fits for set 0 of the desk config's middle key, as
+    # computed when the policy pass also carried a leave-one-out column; the
+    # put at basis_m = 20 (2,000 paths) is rank deficient at every date
+    POLICY_DIGESTS = {
+        ("put_single", None): "ca251e5f9f2e4fe40f4312eaaf73f15460b085f80daf8047c7b6a987d1a672dd",
+        ("bestof_call", None): "cdc3d6c7b49f4b7ccf349e8bf01e4a51320035c01b4fafb1d807aecc187bb996",
+        ("basket_call", None): "530182013251e89a2f9ad684d63ac82a874212e6f85ee1530387f165b8817fa1",
+        ("put_single", 20): "66c05d5fbfb201246e32950a328731f3e1ee737af92afc0e03ac5f456708ca81",
+    }
+
+    @pytest.mark.parametrize("case, basis_m", list(POLICY_DIGESTS))
+    def test_policies_are_pinned(self, case, basis_m):
+        config = default_config(case, 1, "desk")
+        if basis_m is not None:
+            config = dataclasses.replace(config, basis_m=basis_m, n_paths=2000)
+        policy = harness.price_set(config, config.keys[len(config.keys) // 2], 0).policy
+        data = np.array(policy.coefficients).tobytes() + np.array(policy.ranks).tobytes()
+        assert hashlib.sha256(data).hexdigest() == self.POLICY_DIGESTS[case, basis_m]
+        assert (basis_m is None) == (min(policy.ranks) == config.basis_m)
+
     def test_control_variate_shrinks_basket_dispersion(self):
         # the European payout explains most of the basket estimator noise once
         # sets are large enough that policy noise stops dominating
@@ -402,6 +424,25 @@ class TestExperiment2:
                 got = hashlib.sha256(report.fingerprint()).hexdigest()
                 assert got == digest, (config.case, config.n_mc_list, threads)
 
+    def test_blas_threads_move_no_bit(self):
+        # tests/conftest.py pins BLAS to one thread; a run on two BLAS threads
+        # in a fresh process must give the same report
+        config = dataclasses.replace(
+            default_config("basket_call", 2, "desk"), pool_size=28_800, n_mc_list=(2, 8, 24)
+        )
+        probe = (
+            "import dataclasses, hashlib, sys; from lsmc import harness;"
+            " c = dataclasses.replace(harness.default_config('basket_call', 2, 'desk'),"
+            " pool_size=28_800, n_mc_list=(2, 8, 24));"
+            " print(hashlib.sha256(harness.run_experiment2(c).fingerprint()).hexdigest())"
+        )
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": str(Path(lsmc.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=300, check=True)
+        pinned = hashlib.sha256(run_experiment2(config).fingerprint()).hexdigest()
+        assert done.stdout.strip() == pinned
+
     def test_memory_is_bounded_by_the_chunk(self):
         # 10 chunks of 4,800 paths: nothing close to the whole pool is held
         config = dataclasses.replace(
@@ -476,6 +517,8 @@ class TestCli:
             "d41790cf33ceb0b808a8261ce594bdd6eaa7143eefe8e53e112476472e91572b",
         ("bestof_call", "100", "LOOLSM"):
             "6e4e9ed86da27dc52d16db90cae47cb4a50b3f8c93b89c44987383ece0b3777f",
+        ("bestof_call", "100", "LSM2"):
+            "03b776c020d1f11a716f5a9a3503ee098ff3c4a910e168aba01d46ef2a639b5e",
     }
 
     @pytest.mark.parametrize("case, key, mode", list(PRICE_DIGESTS))

@@ -7,6 +7,7 @@ prediction is -2/3, and its leverage values are (13/14, 5/14, 5/7).
 
 import ctypes
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from scipy.linalg import lapack
 from lsmc import regression
 from lsmc.contracts import basis_family, design_matrix
 from lsmc.engine import payout_matrix
-from lsmc.harness import default_config
+from lsmc.harness import default_config, derive_seed
 from lsmc.market import generate_paths
 from lsmc.regression import (
     _householder,
@@ -153,6 +154,13 @@ class TestFitLeastSquares:
                 fit = fit_stack(xs, ys)
                 for name in ("beta", "fitted", "residuals", "leverage", "rank"):
                     assert getattr(fit, name).tobytes() == getattr(reference, name).tobytes()
+
+    def test_beta_residuals_and_leverage_are_computed_once_when_read(self):
+        fit = fit_one(THREE_POINT_X, THREE_POINT_Y)
+        for name in ("beta", "residuals", "leverage"):
+            assert name not in vars(fit)
+            assert getattr(fit, name) is getattr(fit, name)
+            assert name in vars(fit)
 
     def test_rejects_nonfinite_with_location(self):
         x = THREE_POINT_X.copy()
@@ -436,6 +444,74 @@ class TestLeadingColumnFits:
                 fit_leading(factor, y, m)
 
 
+class TestRankGuard:
+    """fit_leading's ranks at every m of a family against np.linalg.svd of the
+    set's equilibrated leading m columns under the max(N, m) * eps * s_max
+    rule.  At m < M a set far enough from rank deficiency takes its rank from
+    factor_stack's singular values of the widest R (the guarded route); every
+    other set takes an SVD of its leading block (the SVD route)."""
+
+    @staticmethod
+    def svd_ranks(x, m):
+        s = np.linalg.svd(equilibrated(x[..., :m]), compute_uv=False)
+        return np.count_nonzero(s > max(x.shape[1], m) * np.finfo(float).eps * s[:, :1], axis=-1)
+
+    @staticmethod
+    def check(x, m_list):
+        """Asserts the ranks of every m in m_list; returns how many sets took
+        the guarded and the SVD route at m below the factored width."""
+        factor, (n_sets, n, wide) = factor_stack(x), x.shape
+        s, tol = factor.s, max(n, wide) * np.finfo(float).eps
+        guarded = (s[:, -1] > regression.INTERLACING_MARGIN * tol * s[:, 0]) & (n >= wide)
+        y = np.ones((n_sets, n, 1))
+        for m in m_list:
+            got = fit_leading(factor, y, m).rank
+            np.testing.assert_array_equal(got, TestRankGuard.svd_ranks(x, m), err_msg=f"m={m}")
+        narrower = sum(m < wide for m in m_list)
+        return narrower * int(guarded.sum()), narrower * int((~guarded).sum())
+
+    def test_desk_put_designs(self):
+        # the desk experiment-2 put pool at every date and split, at M = 12:
+        # s_min / s_max runs from about 2e-13 to 1e-10 against tolerances of
+        # 1200 eps to 14400 eps, so both routes are taken
+        config = default_config("put_single", 2)
+        key, basis = config.keys[0], basis_family("put_single", max(config.m_list))
+        pool = generate_paths(config.model_for_key(key), config.schedule(), config.pool_size,
+                              derive_seed(config.base_seed, config.case, "pool"))
+        z = payout_matrix(pool, config.payoff_for_key(key))
+        routes = np.zeros(2, dtype=int)
+        for i in range(pool.n_dates - 1):
+            x = design_matrix(basis, pool.values[:, i, :], z[:, i])
+            for n_mc in config.n_mc_list:
+                routes += self.check(x.reshape(n_mc, -1, basis.m), config.m_list)
+        assert routes.min() > 0, routes
+
+    @pytest.mark.parametrize("column", [4, 7])
+    def test_last_column_swept_to_dependence(self, column):
+        # the last column of the leading 5 or of all 8 runs from independent
+        # of the columns before it to an exact combination of them, through
+        # every distance from the threshold
+        rng = np.random.default_rng(column)
+        weights = [0.0, *np.logspace(-16, 0, 49)]
+        x = np.repeat(rng.standard_normal((1, 400, 8)) * rng.uniform(0.1, 10.0, 8), 50, axis=0)
+        combination = x[0, :, :column] @ rng.standard_normal(column)
+        noise = rng.standard_normal(400)
+        for t, w in enumerate(weights):
+            x[t, :, column] = combination + w * noise
+        routes = self.check(x, (2, 5, 7, 8))
+        assert min(routes) > 0, routes
+        rank = fit_leading(factor_stack(x), np.ones((50, 400, 1)), column + 1).rank
+        assert rank[0] == column and rank[-1] == column + 1
+
+    def test_wide_sets_take_the_svd_route(self):
+        # with N < M interlacing bounds nothing below the full width
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((3, 7, 12)) * rng.uniform(0.01, 100.0, 12)
+        x[1, :, 2] = 0.0
+        x[2, :, 5] = x[2, :, 1] - x[2, :, 4]
+        assert self.check(x, range(1, 13)) == (0, 3 * 11)
+
+
 class TestLeaveOneOut:
     def test_three_point_loo_prediction(self):
         fit = fit_one(THREE_POINT_X, THREE_POINT_Y)
@@ -456,12 +532,9 @@ class TestLeaveOneOut:
 
     def test_zero_leverage_row_keeps_residual(self):
         fit = fit_one(THREE_POINT_X, THREE_POINT_Y)
-        hacked = type(fit)(
-            beta=fit.beta,
-            fitted=fit.fitted,
-            residuals=fit.residuals,
-            leverage=np.array([[0.0, 0.5, 0.5]]),
-            rank=fit.rank,
+        # loo_predictions reads only these three fields of a fit
+        hacked = SimpleNamespace(
+            fitted=fit.fitted, residuals=fit.residuals, leverage=np.array([[0.0, 0.5, 0.5]])
         )
         assert THREE_POINT_Y[0] - loo_predictions(hacked)[0, 0, 0] == fit.residuals[0, 0, 0]
 
